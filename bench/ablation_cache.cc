@@ -2,17 +2,25 @@
 // authorizations.
 //
 // Replays a skewed query workload (Zipf-ish: a few hot users dominate,
-// as in real systems) against the facade with caches off, with only
-// the sub-graph cache, and with both caches, then injects explicit-
-// matrix updates to show invalidation cost.
+// as in real systems) against a pinned snapshot with its epoch tables
+// off, with only the sub-graph table, and with both tables, and
+// injects explicit-matrix updates: each one publishes the next
+// snapshot, which drops the edited column's entries and carries every
+// other entry over. Queries and publications are timed apart: the
+// tables are a read-side memo, and each publication re-extracts the
+// warm sub-graphs into the new epoch, so its cost is reported next to
+// the query speedup. The reachability index is off, so the tables are
+// measured against the classic extraction they memoize.
 
 #include <cstdio>
 #include <iostream>
 #include <vector>
 
 #include "acm/assignment.h"
+#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -30,8 +38,7 @@ struct WorkloadSpec {
   std::vector<size_t> update_points;          // Query indices with updates.
 };
 
-core::AccessControlSystem MakeSystem(core::SystemOptions options,
-                                     uint64_t seed) {
+core::AccessControlSystem MakeSystem(uint64_t seed) {
   Random rng(seed);
   workload::EnterpriseOptions shape;
   shape.individuals = 400;
@@ -41,6 +48,9 @@ core::AccessControlSystem MakeSystem(core::SystemOptions options,
   auto dag = workload::GenerateEnterpriseHierarchy(shape, rng);
   if (!dag.ok()) std::abort();
 
+  core::SystemOptions options;
+  options.enable_snapshot_reads = true;
+  options.use_reachability_index = false;
   core::AccessControlSystem system(std::move(dag).value(), options);
   acm::ExplicitAcm seed_acm;
   const acm::ObjectId obj = seed_acm.InternObject("vault").value();
@@ -81,29 +91,45 @@ WorkloadSpec MakeWorkload(const graph::Dag& dag, size_t queries,
   return spec;
 }
 
-double RunWorkload(core::AccessControlSystem& system,
-                   const WorkloadSpec& spec) {
+struct RunResult {
+  double query_ms = 0.0;
+  double update_ms = 0.0;
+};
+
+RunResult RunWorkload(core::AccessControlSystem& system,
+                      const WorkloadSpec& spec,
+                      const core::SnapshotReadOptions& read_options) {
   const acm::ObjectId obj = system.eacm().FindObject("vault").value();
   const acm::RightId open = system.eacm().FindRight("open").value();
   const core::Strategy strategy = core::ParseStrategy("D+LP-").value();
 
   size_t next_update = 0;
+  RunResult result;
   Stopwatch watch;
+  core::SnapshotManager::ReadPin pin = system.snapshots()->Pin();
   for (size_t q = 0; q < spec.query_subjects.size(); ++q) {
     if (next_update < spec.update_points.size() &&
         spec.update_points[next_update] == q) {
-      // An administrative change invalidates derived results.
+      // An administrative change publishes the next epoch; its column
+      // epoch drops the derived results it touched.
       const std::string subject = system.dag().name(
           spec.query_subjects[q] % 7 == 0 ? spec.query_subjects[q]
                                           : spec.query_subjects[0]);
+      result.query_ms += watch.ElapsedMillis();
+      watch.Reset();
+      pin = {};
       (void)system.Grant(subject, "vault", "open");
+      pin = system.snapshots()->Pin();
+      result.update_ms += watch.ElapsedMillis();
+      watch.Reset();
       ++next_update;
     }
-    auto decision =
-        system.CheckAccess(spec.query_subjects[q], obj, open, strategy);
+    auto decision = core::SnapshotResolveAccess(
+        *pin, spec.query_subjects[q], obj, open, strategy, read_options);
     if (!decision.ok()) std::abort();
   }
-  return watch.ElapsedMillis();
+  result.query_ms += watch.ElapsedMillis();
+  return result;
 }
 
 }  // namespace
@@ -112,8 +138,8 @@ int main() {
   constexpr size_t kQueries = 20000;
   constexpr uint64_t kSeed = 99;
 
-  std::cout << "== Ablation: resolution & sub-graph caches (paper §6, "
-               "future work #1) ==\n"
+  std::cout << "== Ablation: snapshot resolution & sub-graph tables (paper "
+               "§6, future work #1) ==\n"
             << kQueries << " skewed queries, strategy D+LP-, one policy "
             << "update per 1000 queries\n\n";
 
@@ -123,41 +149,54 @@ int main() {
     bool subgraph;
   };
   const Config configs[] = {
-      {"no caches", false, false},
-      {"sub-graph cache only", false, true},
-      {"both caches", true, true},
+      {"no tables", false, false},
+      {"sub-graph table only", false, true},
+      {"both tables", true, true},
   };
+  obs::Counter& hits = obs::Registry::Global().GetCounter(
+      "ucr_snapshot_resolution_hits_total", "");
+  obs::Counter& misses = obs::Registry::Global().GetCounter(
+      "ucr_snapshot_resolution_misses_total", "");
 
-  TablePrinter table({"configuration", "total ms", "us/query", "hit rate",
-                      "speedup"});
+  TablePrinter table({"configuration", "query ms", "us/query", "hit rate",
+                      "speedup", "ms/update"});
   double baseline_ms = 0.0;
   for (const Config& config : configs) {
-    core::SystemOptions options;
-    options.enable_resolution_cache = config.resolution;
-    options.enable_subgraph_cache = config.subgraph;
-    core::AccessControlSystem system = MakeSystem(options, kSeed);
+    core::SnapshotReadOptions read_options;
+    read_options.use_resolution_table = config.resolution;
+    read_options.use_subgraph_table = config.subgraph;
+    core::AccessControlSystem system = MakeSystem(kSeed);
     const WorkloadSpec spec = MakeWorkload(system.dag(), kQueries, kSeed + 1);
-    const double ms = RunWorkload(system, spec);
+    const uint64_t hits_before = hits.Value();
+    const uint64_t misses_before = misses.Value();
+    const RunResult run = RunWorkload(system, spec, read_options);
+    const double ms = run.query_ms;
     if (baseline_ms == 0.0) baseline_ms = ms;
 
-    const auto& stats = system.resolution_cache().stats();
-    const uint64_t lookups = stats.hits + stats.misses;
+    // Table hits as counted by the snapshot metric family; "-" when
+    // the table is off or instrumentation is compiled out.
+    const uint64_t hit_count = hits.Value() - hits_before;
+    const uint64_t lookups = hit_count + misses.Value() - misses_before;
     table.AddRow(
         {config.name, FormatDouble(ms, 1),
          FormatDouble(ms * 1000.0 / static_cast<double>(kQueries), 2),
          lookups == 0 ? std::string("-")
-                      : FormatDouble(100.0 * static_cast<double>(stats.hits) /
+                      : FormatDouble(100.0 * static_cast<double>(hit_count) /
                                          static_cast<double>(lookups),
                                      1) +
                             "%",
-         FormatDouble(baseline_ms / ms, 1) + "x"});
+         FormatDouble(baseline_ms / ms, 1) + "x",
+         FormatDouble(run.update_ms /
+                          static_cast<double>(spec.update_points.size()),
+                      2)});
   }
   table.Print(std::cout);
 
-  std::cout << "\nThe resolution cache turns repeat decisions into hash "
-               "lookups; updates cost\none epoch bump plus lazy re-derivation "
-               "of touched entries only — supporting the\npaper's conjecture "
-               "that caching derived authorizations pays off.\n";
+  std::cout << "\nThe resolution table turns repeat decisions into "
+               "lock-free hash probes; an update\ncosts one snapshot "
+               "publication, after which only the edited column's "
+               "entries\nre-derive — supporting the paper's conjecture that "
+               "caching derived\nauthorizations pays off.\n";
   ucr::bench_obs::EmitMetricsSnapshot("ablation_cache");
   return 0;
 }

@@ -4,9 +4,9 @@
 // Sections (one "JSON " line each, for BENCH_durability.json;
 // tools/bench_trend.py hard-gates the summary):
 //
-//   churn_baseline     bench/mutation_churn's incremental workload —
-//                      hot-set queries with one membership toggle per
-//                      100 queries — applied purely in memory.
+//   churn_baseline     the churn workload — hot-set queries with one
+//                      membership toggle per 100 queries — applied
+//                      purely in memory.
 //   churn_wal_relaxed  the same stream with every toggle logged
 //                      through PersistentSystem::Apply under relaxed
 //                      group commit (ordered, checksummed appends; no
@@ -52,8 +52,8 @@ using namespace ucr;  // NOLINT(build/namespaces): benchmark brevity.
 
 constexpr size_t kQueriesPerMutation = 100;
 
-// The mutation_churn hierarchy + label columns, verbatim, so the
-// baseline row here tracks that benchmark's incremental section.
+// Livelink-shaped hierarchy (paper §4) with the same six label
+// columns as bench/throughput_parallel.
 core::AccessControlSystem MakeChurnSystem(uint64_t seed) {
   Random rng(seed);
   workload::EnterpriseOptions shape;  // Defaults = published shape stats.

@@ -251,11 +251,11 @@ int main(int argc, char** argv) {
     ::rmdir(dir.c_str());
   }
 
-  // -- batch_resolve: the serving path. A fresh resolver per pass
-  // (cold caches), exactly like throughput_parallel's batch_resolve
-  // @1 thread, so the qps trajectory across PRs stays comparable.
-  // Allocations here include the caches filling up — the honest
-  // serving cost; the steady-state zero-allocation property is the
+  // -- batch_resolve: the serving path. A fresh resolver per pass,
+  // exactly like throughput_parallel's batch_resolve @1 thread, so the
+  // qps trajectory across PRs stays comparable. Allocations here
+  // include the per-batch result vector and the classic engine's
+  // per-query bags; the steady-state zero-allocation property is the
   // resolve_access fast row and the regression test's concern.
   for (const bool fast_path : {false, true}) {
     core::BatchResolverOptions options;

@@ -9,8 +9,9 @@
 //   snapshot_idle    readers on CheckAccessSnapshot, writer quiet
 //   snapshot_churn   readers on CheckAccessSnapshot, writer churning
 //   locked_idle      readers on classic CheckAccess under one shared
-//                    mutex (the facade's caches are unsynchronized, so
-//                    concurrent classic readers *must* serialize)
+//                    mutex (CheckAccess refreshes the facade's
+//                    reachability index in place, so concurrent
+//                    classic readers *must* serialize)
 //   locked_churn     same, writer churning under the same mutex
 //
 // The headline contract: snapshot reader p99 stays flat under churn

@@ -1,7 +1,6 @@
 // Throughput of the parallel query-evaluation layer: sweeps thread
 // counts over a Livelink-shaped enterprise workload and reports
-// queries/sec, cache hit rates, and parallel effective-matrix
-// materialization times.
+// queries/sec and parallel effective-matrix materialization times.
 //
 // Each swept config also prints one machine-readable JSON line
 // (prefixed "JSON ") so the perf trajectory can be tracked across PRs
@@ -69,8 +68,7 @@ core::AccessControlSystem MakeSystem(uint64_t seed) {
 }
 
 std::string JsonLine(const char* section, size_t threads, size_t queries,
-                     double millis, double qps, double speedup,
-                     double hit_rate, double subgraph_hit_rate) {
+                     double millis, double qps, double speedup) {
   // On a host that grants a single core, every multi-threaded config
   // measures synchronization overhead, not scaling: mark those rows so
   // tools/bench_trend.py never reads a "regression" out of a
@@ -82,17 +80,10 @@ std::string JsonLine(const char* section, size_t threads, size_t queries,
       buffer, sizeof(buffer),
       "JSON {\"bench\":\"throughput_parallel\",\"section\":\"%s\","
       "\"threads\":%zu,\"queries\":%zu,\"millis\":%.3f,\"qps\":%.1f,"
-      "\"speedup_vs_1t\":%.3f,\"resolution_hit_rate\":%.4f,"
-      "\"subgraph_hit_rate\":%.4f%s}",
-      section, threads, queries, millis, qps, speedup, hit_rate,
-      subgraph_hit_rate, skipped_scaling ? ",\"skipped_scaling\":true" : "");
+      "\"speedup_vs_1t\":%.3f%s}",
+      section, threads, queries, millis, qps, speedup,
+      skipped_scaling ? ",\"skipped_scaling\":true" : "");
   return buffer;
-}
-
-double Rate(uint64_t hits, uint64_t misses) {
-  const uint64_t total = hits + misses;
-  return total == 0 ? 0.0
-                    : static_cast<double>(hits) / static_cast<double>(total);
 }
 
 }  // namespace
@@ -126,10 +117,9 @@ int main(int argc, char** argv) {
             << "host concurrency: " << ThreadPool::DefaultThreadCount()
             << " (speedup is bounded by this)\n\n";
 
-  // -- Section 1: BatchResolver with shared sharded caches. ----------
-  std::cout << "-- BatchResolver (sharded caches shared by workers) --\n";
-  TablePrinter batch_table({"threads", "total ms", "queries/s", "speedup",
-                            "resolution hits", "subgraph hits"});
+  // -- Section 1: BatchResolver, one uncached resolve per query. -----
+  std::cout << "-- BatchResolver (uncached, one ResolveAccess per query) --\n";
+  TablePrinter batch_table({"threads", "total ms", "queries/s", "speedup"});
   std::vector<std::string> json_lines;
   double batch_baseline_ms = 0.0;
   for (const size_t threads : thread_counts) {
@@ -139,19 +129,13 @@ int main(int argc, char** argv) {
     const double ms = watch.ElapsedMillis();
     if (!results.ok()) std::abort();
     if (batch_baseline_ms == 0.0) batch_baseline_ms = ms;
-
-    const auto stats = resolver.resolution_cache().stats();
-    const double hit_rate = Rate(stats.hits, stats.misses);
-    const double subgraph_hit_rate = Rate(resolver.subgraph_cache().hits(),
-                                          resolver.subgraph_cache().misses());
     const double qps = static_cast<double>(kQueries) / (ms / 1000.0);
     const double speedup = batch_baseline_ms / ms;
     batch_table.AddRow({std::to_string(threads), FormatDouble(ms, 1),
-                        FormatDouble(qps, 0), FormatDouble(speedup, 2) + "x",
-                        FormatDouble(100.0 * hit_rate, 1) + "%",
-                        FormatDouble(100.0 * subgraph_hit_rate, 1) + "%"});
-    json_lines.push_back(JsonLine("batch_resolve", threads, kQueries, ms,
-                                  qps, speedup, hit_rate, subgraph_hit_rate));
+                        FormatDouble(qps, 0),
+                        FormatDouble(speedup, 2) + "x"});
+    json_lines.push_back(
+        JsonLine("batch_resolve", threads, kQueries, ms, qps, speedup));
   }
   batch_table.Print(std::cout);
 
@@ -173,15 +157,15 @@ int main(int argc, char** argv) {
     matrix_table.AddRow({std::to_string(threads), FormatDouble(ms, 1),
                          FormatDouble(cps, 1),
                          FormatDouble(speedup, 2) + "x"});
-    json_lines.push_back(JsonLine("materialize", threads, column_count, ms,
-                                  cps, speedup, 0.0, 0.0));
+    json_lines.push_back(
+        JsonLine("materialize", threads, column_count, ms, cps, speedup));
   }
   matrix_table.Print(std::cout);
 
-  std::cout << "\nWorkers share warm sub-graphs and epoch-guarded decisions "
-               "through the sharded\ncaches instead of re-deriving them, so "
-               "added threads scale the independent\nwork (propagation) "
-               "without duplicating the shared state.\n\n";
+  std::cout << "\nWorkers share nothing but the immutable hierarchy and "
+               "matrix, so added\nthreads scale the independent work "
+               "(extraction and propagation) without\nsynchronizing on "
+               "shared state.\n\n";
   for (const std::string& line : json_lines) std::cout << line << "\n";
   ucr::bench_obs::EmitMetricsSnapshot("throughput_parallel");
   return 0;

@@ -74,7 +74,8 @@ class FlatPropagator {
   /// options, stats)` on the equivalent sub-graph.
   ///
   /// `View` is either a `graph::ScratchSubgraphView` or an
-  /// `AncestorSubgraph` (e.g. one shared through a sub-graph cache).
+  /// `AncestorSubgraph` (e.g. one shared through a snapshot's
+  /// sub-graph table).
   /// The returned span aliases an internal buffer: it is invalidated
   /// by the next propagation on this instance.
   template <typename View>

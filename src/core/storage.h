@@ -35,9 +35,9 @@ namespace ucr::core {
 /// Serializes `system` (hierarchy + explicit matrix + strategy).
 std::string SaveSystemToText(const AccessControlSystem& system);
 
-/// Parses the `SaveSystemToText` format. The returned system has cold
-/// caches and the options given in `options`, except the strategy,
-/// which comes from the file.
+/// Parses the `SaveSystemToText` format. The returned system has the
+/// options given in `options`, except the strategy, which comes from
+/// the file.
 StatusOr<AccessControlSystem> LoadSystemFromText(std::string_view text,
                                                  SystemOptions options = {});
 

@@ -7,7 +7,6 @@
 #include "core/propagate.h"
 #include "obs/audit_log.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 
@@ -16,16 +15,16 @@ namespace ucr::core {
 namespace {
 
 /// Front-door telemetry (DESIGN.md §8): CheckAccess is the serving
-/// entry point of the installed system (the cached, single-threaded
+/// entry point of the installed system over its master state (the
 /// path behind CheckAccessByName and the admin CLI), distinct from the
-/// uncached ResolveAccess family and the batch engine.
+/// ResolveAccess family it calls and the batch engine.
 struct SystemMetrics {
   obs::Counter& queries = obs::Registry::Global().GetCounter(
       "ucr_system_queries_total",
       "Queries answered by AccessControlSystem::CheckAccess");
   obs::Histogram& latency = obs::Registry::Global().GetHistogram(
       "ucr_system_query_latency_ns",
-      "CheckAccess latency, cache hits included (ns)");
+      "CheckAccess latency, reachability-index refresh included (ns)");
 };
 
 SystemMetrics& GetSystemMetrics() {
@@ -34,19 +33,14 @@ SystemMetrics& GetSystemMetrics() {
 }
 
 /// Write-path telemetry (DESIGN.md §10): hierarchy-edit volume and the
-/// cost of each edit in affected subjects and dropped cache entries —
-/// the two numbers that show reachability-scoped invalidation beating
-/// the wholesale clears it replaced.
+/// reach of each edit in affected subjects.
 struct MutationMetrics {
   obs::Counter& mutations = obs::Registry::Global().GetCounter(
       "ucr_mutations_total",
       "Hierarchy mutations applied (membership edge inserts/removals)");
-  obs::Counter& invalidated = obs::Registry::Global().GetCounter(
-      "ucr_invalidated_entries_total",
-      "Cache entries dropped by hierarchy-edit invalidation sweeps");
   obs::Histogram& affected_subjects = obs::Registry::Global().GetHistogram(
       "ucr_mutation_affected_subjects",
-      "Affected-set size per invalidation sweep (subjects)");
+      "Affected-set size per hierarchy edit or mutation batch (subjects)");
 };
 
 MutationMetrics& GetMutationMetrics() {
@@ -54,43 +48,18 @@ MutationMetrics& GetMutationMetrics() {
   return *metrics;
 }
 
-/// Same Fig. 4 payload as the ResolveAccess/BatchResolver tracers; a
-/// resolution cache hit records no derivation of its own.
-[[gnu::noinline, gnu::cold]] void RecordSystemTrace(graph::NodeId subject, acm::ObjectId object,
-                       acm::RightId right, const Strategy& canonical,
-                       bool resolution_hit, bool subgraph_hit,
-                       uint64_t t_start, uint64_t t_propagate, uint64_t t_end,
-                       const ResolveTrace* trace, acm::Mode mode,
-                       const obs::PhaseBreakdown& phases) {
-  obs::QueryTraceRecord record;
-  record.subject = subject;
-  record.object = object;
-  record.right = right;
-  record.strategy_index = canonical.CanonicalIndex();
-  record.fast_path = false;  // CheckAccess runs the classic cached path.
-  record.resolution_cache_hit = resolution_hit;
-  record.subgraph_cache_hit = subgraph_hit;
-  if (!resolution_hit) {
-    record.propagate_ns = t_propagate - t_start;
-    record.resolve_ns = t_end - t_propagate;
+/// ResolveAccess options for a query over the master state: defaults
+/// plus the system's propagation mode.
+ResolveAccessOptions MasterResolveOptions(PropagationMode mode) {
+  ResolveAccessOptions options;
+  options.propagation_mode = mode;
+  return options;
+}
+
+void ObserveAffected(size_t subjects) {
+  if constexpr (obs::kEnabled) {
+    GetMutationMetrics().affected_subjects.Observe(subjects);
   }
-  record.total_ns = t_end - t_start;
-  record.phases = phases;
-  if (trace != nullptr) {
-    record.has_majority = trace->c1.has_value();
-    record.c1 = trace->c1.value_or(0);
-    record.c2 = trace->c2.value_or(0);
-    record.auth_computed = trace->auth_computed;
-    record.auth_has_positive = trace->auth_has_positive;
-    record.auth_has_negative = trace->auth_has_negative;
-    record.returned_line = trace->returned_line;
-  }
-  record.granted = mode == acm::Mode::kPositive;
-  const uint64_t sequence = obs::QueryTracer::Global().Record(record);
-  // Exemplar: link this sample's tail-latency bucket to its trace so
-  // /tracez can recover the full Fig. 4 derivation.
-  GetSystemMetrics().latency.RecordExemplar(record.total_ns, sequence,
-                                            subject, object, right);
 }
 
 /// Audit hook for the named administrative operations (DESIGN.md §9).
@@ -279,10 +248,7 @@ Status AccessControlSystem::MutateMembership(
                    std::string(parent) + " -> " + std::string(child),
                    edit_affected.size());
   }
-  if (options_.use_reachability_index) {
-    reach_dirty_affected_.insert(reach_dirty_affected_.end(),
-                                 edit_affected.begin(), edit_affected.end());
-  }
+  if (ReachDirtWanted()) AppendDirt(reach_dirty_affected_, edit_affected);
   if (affected != nullptr) {
     affected->insert(affected->end(), edit_affected.begin(),
                      edit_affected.end());
@@ -290,37 +256,24 @@ Status AccessControlSystem::MutateMembership(
   return Status::OK();
 }
 
-size_t AccessControlSystem::InvalidateAffected(
-    const std::vector<graph::NodeId>& affected) {
-  size_t dropped = 0;
-  if (options_.incremental_hierarchy_updates) {
-    std::vector<uint8_t> bitmap(dag_.node_count(), 0);
-    for (graph::NodeId v : affected) bitmap[v] = 1;
-    dropped += resolution_cache_.EraseSubjects(bitmap);
-    dropped += subgraph_cache_.EraseSubjects(bitmap);
-  } else {
-    // Full-clear baseline: every warm entry is evicted, including the
-    // subjects this edit cannot have touched.
-    dropped += resolution_cache_.size() + subgraph_cache_.size();
-    subgraph_cache_.Clear();
-    resolution_cache_.Clear();
+void AccessControlSystem::AppendDirt(std::vector<graph::NodeId>& dirt,
+                                     std::span<const graph::NodeId> nodes) {
+  dirt.insert(dirt.end(), nodes.begin(), nodes.end());
+  // Twice the node count, not once: a compaction leaves at most n
+  // entries, so each one is paid for by at least n appends.
+  if (dirt.size() > 2 * dag_.node_count()) {
+    std::sort(dirt.begin(), dirt.end());
+    dirt.erase(std::unique(dirt.begin(), dirt.end()), dirt.end());
   }
-  if constexpr (obs::kEnabled) {
-    GetMutationMetrics().invalidated.Inc(dropped);
-    GetMutationMetrics().affected_subjects.Observe(affected.size());
-  }
-  return dropped;
 }
 
 void AccessControlSystem::NoteRightsEdit(graph::NodeId subject) {
-  if (!options_.use_reachability_index) return;
-  reach_dirty_rows_.push_back(subject);
+  if (!ReachDirtWanted()) return;
+  AppendDirt(reach_dirty_rows_, {&subject, 1});
   // A row edit can re-class `subject`, changing the profile labels of
   // every node that can see it: itself plus its hierarchy descendants
   // (DescendantsOf includes the start node).
-  const std::vector<graph::NodeId> scope = dag_.DescendantsOf(subject);
-  reach_dirty_affected_.insert(reach_dirty_affected_.end(), scope.begin(),
-                               scope.end());
+  AppendDirt(reach_dirty_affected_, dag_.DescendantsOf(subject));
 }
 
 void AccessControlSystem::EnsureReachIndexCurrent() {
@@ -369,7 +322,7 @@ Status AccessControlSystem::AddMembership(
   std::vector<graph::NodeId> edit_affected;
   UCR_RETURN_IF_ERROR(MutateMembership(/*add=*/true, parent, child,
                                        &edit_affected));
-  InvalidateAffected(edit_affected);
+  ObserveAffected(edit_affected.size());
   if (snapshot_state_ != nullptr) PublishSnapshotLocked();
   if (affected != nullptr) *affected = std::move(edit_affected);
   return Status::OK();
@@ -383,7 +336,7 @@ Status AccessControlSystem::RemoveMembership(
   std::vector<graph::NodeId> edit_affected;
   UCR_RETURN_IF_ERROR(MutateMembership(/*add=*/false, parent, child,
                                        &edit_affected));
-  InvalidateAffected(edit_affected);
+  ObserveAffected(edit_affected.size());
   if (snapshot_state_ != nullptr) PublishSnapshotLocked();
   if (affected != nullptr) *affected = std::move(edit_affected);
   return Status::OK();
@@ -438,19 +391,17 @@ Status AccessControlSystem::ApplyMutations(std::span<const MutationOp> ops,
     ++applied;
     NoteMutationApplied();
   }
-  // One sweep over the union, even on early abort: the hierarchy edits
-  // that did apply must not leave stale cached state behind.
+  // One observation of the union, even on early abort: the hierarchy
+  // edits that did apply count.
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());
-  size_t dropped = 0;
-  if (!affected.empty()) dropped = InvalidateAffected(affected);
+  if (!affected.empty()) ObserveAffected(affected.size());
   // Publish even on early abort: the ops that did apply are master
   // state now, and the snapshot must converge to it.
   if (snapshot_state_ != nullptr && applied > 0) PublishSnapshotLocked();
   if (stats != nullptr) {
     stats->applied = applied;
-    stats->invalidated_entries = dropped;
     stats->failed_index = failed_index;
     stats->affected = std::move(affected);
   }
@@ -514,108 +465,28 @@ StatusOr<acm::Mode> AccessControlSystem::CheckAccess(graph::NodeId subject,
                                                      acm::ObjectId object,
                                                      acm::RightId right,
                                                      const Strategy& strategy) {
-  if (subject >= dag_.node_count()) {
-    return Status::OutOfRange("subject id out of range");
-  }
-  if (object >= eacm_.object_count() || right >= eacm_.right_count()) {
-    return Status::OutOfRange("object/right id out of range");
-  }
-  const Strategy canonical = strategy.Canonical();
-  const bool sampled = obs::QueryTracer::ShouldSample();
-  const uint64_t t_start = sampled ? obs::NowNs() : 0;
-  // Phase-attribution owner scope (DESIGN.md §14): the cache probes,
-  // composition, propagation, and resolve below attribute into it.
-  obs::ScopedPhaseCollection phase_scope(sampled);
-  // Cache entries are validated against the (object, right) column's
-  // own epoch, so edits to unrelated columns keep their cached
-  // decisions warm.
-  const uint64_t column_epoch = eacm_.ColumnEpoch(object, right);
-  if (options_.enable_resolution_cache) {
-    const std::optional<acm::Mode> cached = resolution_cache_.Lookup(
-        subject, object, right, canonical, column_epoch);
-    if (cached.has_value()) {
-      if constexpr (obs::kEnabled) {
-        GetSystemMetrics().queries.Inc();
-        if (sampled) [[unlikely]] {
-          const uint64_t t_end = obs::NowNs();
-          GetSystemMetrics().latency.Observe(t_end - t_start);
-          RecordSystemTrace(subject, object, right, canonical,
-                            /*resolution_hit=*/true, /*subgraph_hit=*/false,
-                            t_start, t_start, t_end, nullptr, *cached,
-                            phase_scope.Snapshot());
-        }
-      }
-      return *cached;
-    }
-  }
-
-  // Indexed compose path (DESIGN.md §12): refresh the reachability
-  // index (coalescing any pending mutation dirt) and derive the sink
-  // bag from the subject's O(|label|) profile instead of extracting
-  // the ancestor sub-graph. Bit-identical decisions; falls through to
-  // the classic path when the index is unusable (kSecondWins, budget
-  // breach, option off).
-  if (options_.use_reachability_index) {
-    EnsureReachIndexCurrent();
-    ResolveAccessOptions reach_gate;
-    reach_gate.propagation_mode = options_.propagation_mode;
-    if (ReachIndexUsable(reach_index_.get(), dag_, eacm_, reach_gate)) {
-      ResolveTrace sampled_trace;
-      const acm::Mode mode = ResolveEntries(
-          ComposeIndexedSinkBag(*reach_index_, subject, object, right,
-                                options_.propagation_mode),
-          canonical, sampled ? &sampled_trace : nullptr);
-      if (options_.enable_resolution_cache) {
-        resolution_cache_.Store(subject, object, right, canonical,
-                                column_epoch, mode);
-      }
-      if constexpr (obs::kEnabled) {
-        GetSystemMetrics().queries.Inc();
-        if (sampled) [[unlikely]] {
-          const uint64_t t_end = obs::NowNs();
-          GetSystemMetrics().latency.Observe(t_end - t_start);
-          RecordSystemTrace(subject, object, right, canonical,
-                            /*resolution_hit=*/false, /*subgraph_hit=*/false,
-                            t_start, t_start, t_end, &sampled_trace, mode,
-                            phase_scope.Snapshot());
-        }
-      }
-      return mode;
-    }
-  }
-
-  const std::vector<std::optional<acm::Mode>> labels =
-      eacm_.ExtractLabels(dag_.node_count(), object, right);
-  PropagateOptions prop_options;
-  prop_options.propagation_mode = options_.propagation_mode;
-  RightsBag all_rights;
-  bool subgraph_hit = false;
-  if (options_.enable_subgraph_cache) {
-    const uint64_t hits_before = subgraph_cache_.hits();
-    all_rights = PropagateAggregated(subgraph_cache_.Get(dag_, subject),
-                                     labels, prop_options);
-    subgraph_hit = subgraph_cache_.hits() > hits_before;
-  } else {
-    const graph::AncestorSubgraph sub(dag_, subject);
-    all_rights = PropagateAggregated(sub, labels, prop_options);
-  }
-  const uint64_t t_propagate = sampled ? obs::NowNs() : 0;
-  ResolveTrace sampled_trace;
-  const acm::Mode mode =
-      Resolve(all_rights, canonical, sampled ? &sampled_trace : nullptr);
-  if (options_.enable_resolution_cache) {
-    resolution_cache_.Store(subject, object, right, canonical, column_epoch,
-                            mode);
-  }
+  const uint64_t t_start = obs::kEnabled ? obs::NowNs() : 0;
+  const uint64_t trace_before = obs::QueryTracer::LastSequenceOnThisThread();
+  // Coalesces any pending mutation dirt into one incremental rebuild;
+  // ResolveAccess then composes the sink bag in O(label) (DESIGN.md
+  // §12), or runs the allocation-free hot path when the index is not
+  // usable. It validates the ids, traces, and shadow-verifies itself.
+  EnsureReachIndexCurrent();
+  UCR_ASSIGN_OR_RETURN(
+      const acm::Mode mode,
+      ResolveAccess(dag_, eacm_, subject, object, right, strategy,
+                    MasterResolveOptions(options_.propagation_mode), nullptr,
+                    nullptr, reach_index_.get()));
   if constexpr (obs::kEnabled) {
-    GetSystemMetrics().queries.Inc();
-    if (sampled) [[unlikely]] {
-      const uint64_t t_end = obs::NowNs();
-      GetSystemMetrics().latency.Observe(t_end - t_start);
-      RecordSystemTrace(subject, object, right, canonical,
-                        /*resolution_hit=*/false, subgraph_hit, t_start,
-                        t_propagate, t_end, &sampled_trace, mode,
-                        phase_scope.Snapshot());
+    SystemMetrics& m = GetSystemMetrics();
+    const uint64_t ns = obs::NowNs() - t_start;
+    m.queries.Inc();
+    m.latency.Observe(ns);
+    // ResolveAccess sampled this query: link the front door's latency
+    // bucket to its Fig. 4 record so /tracez can resolve it.
+    const uint64_t trace = obs::QueryTracer::LastSequenceOnThisThread();
+    if (trace != trace_before) [[unlikely]] {
+      m.latency.RecordExemplar(ns, trace, subject, object, right);
     }
   }
   return mode;
@@ -624,7 +495,8 @@ StatusOr<acm::Mode> AccessControlSystem::CheckAccess(graph::NodeId subject,
 StatusOr<std::vector<acm::Mode>> AccessControlSystem::CheckAccessBatch(
     std::span<const AccessQuery> queries, const Strategy& strategy,
     size_t threads) {
-  // Validate everything up front so worker threads cannot fail on ids.
+  // Validate everything up front so worker threads cannot fail on ids
+  // (ResolveAccess fails on nothing else).
   for (const AccessQuery& q : queries) {
     if (q.subject >= dag_.node_count() || q.object >= eacm_.object_count() ||
         q.right >= eacm_.right_count()) {
@@ -632,43 +504,23 @@ StatusOr<std::vector<acm::Mode>> AccessControlSystem::CheckAccessBatch(
     }
   }
   std::vector<acm::Mode> results(queries.size(), acm::Mode::kNegative);
-  if (queries.empty()) return results;
-
-  if (threads <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      UCR_ASSIGN_OR_RETURN(
-          results[i],
-          CheckAccess(queries[i].subject, queries[i].object,
-                      queries[i].right, strategy));
-    }
-    return results;
-  }
-
-  // Parallel path: const access to the hierarchy and matrix only. The
-  // calling thread participates, so the pool gets threads - 1 workers.
-  // The reachability index is refreshed once up front — workers then
-  // share the immutable generation (or fall back per ReachIndexUsable).
-  const Strategy canonical = strategy.Canonical();
-  ResolveAccessOptions resolve_options;
-  resolve_options.propagation_mode = options_.propagation_mode;
-  resolve_options.use_reachability_index = options_.use_reachability_index;
+  // Const access to the hierarchy and matrix only. The index is
+  // refreshed once up front, so workers share one immutable generation.
+  // The calling thread participates, so the pool gets threads - 1
+  // workers; with none, the loop runs inline.
   EnsureReachIndexCurrent();
-  ThreadPool pool(std::min(threads, queries.size()) - 1);
-  std::mutex error_mu;
-  Status first_error;
+  const ResolveAccessOptions options =
+      MasterResolveOptions(options_.propagation_mode);
+  const Strategy canonical = strategy.Canonical();
+  const size_t executors = ThreadPool::ClampToHardware(
+      std::min(threads, queries.size()));
+  ThreadPool pool(executors <= 1 ? 0 : executors - 1);
   pool.ParallelFor(0, queries.size(), [&](size_t i) {
-    auto mode = ResolveAccess(dag_, eacm_, queries[i].subject,
-                              queries[i].object, queries[i].right, canonical,
-                              resolve_options, nullptr, nullptr,
-                              reach_index_.get());
-    if (!mode.ok()) {
-      std::lock_guard<std::mutex> lock(error_mu);
-      if (first_error.ok()) first_error = mode.status();
-      return;
-    }
-    results[i] = *mode;
+    results[i] = ResolveAccess(dag_, eacm_, queries[i].subject,
+                               queries[i].object, queries[i].right, canonical,
+                               options, nullptr, nullptr, reach_index_.get())
+                     .value();
   });
-  UCR_RETURN_IF_ERROR(first_error);
   return results;
 }
 
@@ -684,35 +536,24 @@ AccessControlSystem::CheckAccessAllStrategies(graph::NodeId subject,
   }
   // One indexed bag composition serves all 48 resolutions just as one
   // classic propagation would: the bag does not depend on the strategy.
-  if (options_.use_reachability_index) {
-    EnsureReachIndexCurrent();
-    ResolveAccessOptions reach_gate;
-    reach_gate.propagation_mode = options_.propagation_mode;
-    if (ReachIndexUsable(reach_index_.get(), dag_, eacm_, reach_gate)) {
-      const std::span<const RightsEntry> bag = ComposeIndexedSinkBag(
-          *reach_index_, subject, object, right, options_.propagation_mode);
-      std::vector<acm::Mode> out;
-      out.reserve(AllStrategies().size());
-      for (const Strategy& s : AllStrategies()) {
-        out.push_back(ResolveEntries(bag, s));
-      }
-      return out;
+  EnsureReachIndexCurrent();
+  if (ReachIndexUsable(reach_index_.get(), dag_, eacm_,
+                       MasterResolveOptions(options_.propagation_mode))) {
+    const std::span<const RightsEntry> bag = ComposeIndexedSinkBag(
+        *reach_index_, subject, object, right, options_.propagation_mode);
+    std::vector<acm::Mode> out;
+    out.reserve(AllStrategies().size());
+    for (const Strategy& s : AllStrategies()) {
+      out.push_back(ResolveEntries(bag, s));
     }
+    return out;
   }
   const std::vector<std::optional<acm::Mode>> labels =
       eacm_.ExtractLabels(dag_.node_count(), object, right);
-  std::optional<graph::AncestorSubgraph> local_sub;
-  const graph::AncestorSubgraph* sub;
-  if (options_.enable_subgraph_cache) {
-    sub = &subgraph_cache_.Get(dag_, subject);
-  } else {
-    local_sub.emplace(dag_, subject);
-    sub = &*local_sub;
-  }
   PropagateOptions prop_options;
   prop_options.propagation_mode = options_.propagation_mode;
-  const RightsBag all_rights =
-      PropagateAggregated(*sub, labels, prop_options);
+  const RightsBag all_rights = PropagateAggregated(
+      graph::AncestorSubgraph(dag_, subject), labels, prop_options);
 
   std::vector<acm::Mode> out;
   out.reserve(AllStrategies().size());
@@ -784,19 +625,6 @@ void AccessControlSystem::PublishSnapshotLocked() {
       dag_, eacm_, options_.default_strategy, options_.propagation_mode,
       state.manager.current_epoch() + 1, previous.get(),
       state.resolution_capacity, reach_index_);
-  if (!previous) {
-    // First publication: warm the snapshot from the serial resolution
-    // cache so enabling snapshots on a hot system keeps its memo.
-    // Entries are validated against the live column epochs (the serial
-    // cache already dropped anything a hierarchy edit invalidated).
-    resolution_cache_.ForEach([&](graph::NodeId s, acm::ObjectId o,
-                                  acm::RightId r, uint8_t strategy,
-                                  uint64_t epoch, acm::Mode mode) {
-      if (epoch == eacm_.ColumnEpoch(o, r)) {
-        next->resolution.TryStore(s, o, r, strategy, mode);
-      }
-    });
-  }
   state.manager.Publish(std::move(next));
   state.pending_mutations = 0;
   if constexpr (obs::kEnabled) EpochLagGauge().Set(0);

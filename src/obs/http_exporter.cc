@@ -183,9 +183,6 @@ std::string RenderStatz() {
       << ",\"system_p99_ns\":" << RecentP99("ucr_system_query_latency_ns")
       << ",\"snapshot_p99_ns\":" << RecentP99("ucr_snapshot_query_latency_ns")
       << ",\"batch_p99_ns\":" << RecentP99("ucr_batch_query_latency_ns")
-      << ",\"resolution_cache_hit_rate\":"
-      << HitRate("ucr_resolution_cache_hits_total",
-                 "ucr_resolution_cache_misses_total")
       << ",\"snapshot_cache_hit_rate\":"
       << HitRate("ucr_snapshot_resolution_hits_total",
                  "ucr_snapshot_resolution_misses_total")

@@ -84,6 +84,7 @@ uint64_t QueryTracer::Record(const QueryTraceRecord& record) {
     next_ = (next_ + 1) % kRingCapacity;
     if (ring_size_ < kRingCapacity) ++ring_size_;
   }
+  t_last_sequence = sequence;
   if (AuditLog::Enabled()) [[unlikely]] {
     AuditSampledQuery(record);
   }
@@ -156,8 +157,8 @@ std::string ToFig4String(const QueryTraceRecord& r) {
   std::ostringstream out;
   out << "Resolve() derivation (paper Fig. 4):\n";
   if (r.resolution_cache_hit) {
-    out << "  served from the resolution cache — the derivation below "
-           "was recorded when the entry was first computed\n";
+    out << "  served from the snapshot resolution table — the derivation "
+           "below was recorded when the entry was first computed\n";
   }
   if (r.has_majority) {
     out << "  lines 4-5: majority counters c1 = " << r.c1 << " ('+'), c2 = "

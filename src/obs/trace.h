@@ -31,11 +31,12 @@ struct QueryTraceRecord {
   uint8_t strategy_index = 0;  ///< Canonical strategy index (< 48).
   bool fast_path = false;      ///< DESIGN.md §7 engine vs classic.
 
-  // Cache interactions (batch/serving path only; false elsewhere).
+  // Snapshot epoch-table interactions (snapshot path only; false
+  // elsewhere).
   bool resolution_cache_hit = false;
   bool subgraph_cache_hit = false;
 
-  // Span durations in ns. A stage skipped by a cache hit reports 0.
+  // Span durations in ns. A stage skipped by a table hit reports 0.
   uint64_t extract_ns = 0;
   uint64_t propagate_ns = 0;
   uint64_t resolve_ns = 0;
@@ -126,6 +127,18 @@ class QueryTracer {
   /// ring capacity. Returns 0 with instrumentation compiled out.
   uint64_t Record(const QueryTraceRecord& record);
 
+  /// Sequence number of the last record the calling thread stored
+  /// (`UINT64_MAX` before its first). A front end wrapping a traced
+  /// call compares it before and after the call to learn whether the
+  /// callee sampled, and links its own latency exemplar to that record.
+  static uint64_t LastSequenceOnThisThread() {
+#if UCR_METRICS_ENABLED
+    return t_last_sequence;
+#else
+    return UINT64_MAX;
+#endif
+  }
+
   /// Copy of the retained records, oldest first. Cold path; allocates.
   std::vector<QueryTraceRecord> Snapshot() const;
 
@@ -142,6 +155,7 @@ class QueryTracer {
   /// read it without going through `Global()`.
   static inline std::atomic<uint64_t> g_interval{kDefaultInterval};
   static inline std::atomic<uint64_t> g_slow_ns{1'000'000};  // 1 ms.
+  static inline thread_local uint64_t t_last_sequence = UINT64_MAX;
   std::atomic<uint64_t> recorded_total_{0};
   mutable std::mutex mu_;
   std::array<QueryTraceRecord, kRingCapacity> ring_;

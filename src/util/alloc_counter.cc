@@ -1,9 +1,11 @@
 // Counting replacements for the global allocation functions. Linked
 // ONLY into binaries that measure heap traffic (bench/hotpath, the
-// allocation-regression test); production targets keep the default
+// allocation-regression tests); production targets keep the default
 // allocator untouched.
 
 #include "util/alloc_counter.h"
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -15,11 +17,16 @@ namespace ucr {
 namespace alloc_counter_internal {
 
 std::atomic<uint64_t> g_news{0};
+std::atomic<int64_t> g_live_bytes{0};
 
 }  // namespace alloc_counter_internal
 
 uint64_t AllocationCount() {
   return alloc_counter_internal::g_news.load(std::memory_order_relaxed);
+}
+
+int64_t LiveHeapBytes() {
+  return alloc_counter_internal::g_live_bytes.load(std::memory_order_relaxed);
 }
 
 void PublishAllocationGauge() {
@@ -46,10 +53,19 @@ void CountOne() noexcept {
   ucr::alloc_counter_internal::g_news.fetch_add(1, std::memory_order_relaxed);
 }
 
+void AddLive(void* p, int64_t sign) noexcept {
+  if (p == nullptr) return;
+  ucr::alloc_counter_internal::g_live_bytes.fetch_add(
+      sign * static_cast<int64_t>(malloc_usable_size(p)),
+      std::memory_order_relaxed);
+}
+
 void* CountedAllocate(std::size_t size) noexcept {
   CountOne();
   if (size == 0) size = 1;
-  return std::malloc(size);
+  void* p = std::malloc(size);
+  AddLive(p, 1);
+  return p;
 }
 
 void* CountedAllocateAligned(std::size_t size, std::size_t align) noexcept {
@@ -57,7 +73,14 @@ void* CountedAllocateAligned(std::size_t size, std::size_t align) noexcept {
   if (size == 0) size = align;
   // aligned_alloc requires the size to be a multiple of the alignment.
   const std::size_t rounded = (size + align - 1) / align * align;
-  return std::aligned_alloc(align, rounded);
+  void* p = std::aligned_alloc(align, rounded);
+  AddLive(p, 1);
+  return p;
+}
+
+void CountedFree(void* p) noexcept {
+  AddLive(p, -1);
+  std::free(p);
 }
 
 }  // namespace
@@ -104,29 +127,29 @@ void* operator new[](std::size_t size, std::align_val_t align,
   return CountedAllocateAligned(size, static_cast<std::size_t>(align));
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { CountedFree(p); }
 void operator delete(void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, std::align_val_t, std::size_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete(void* p, std::align_val_t,
                      const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 void operator delete[](void* p, std::align_val_t,
                        const std::nothrow_t&) noexcept {
-  std::free(p);
+  CountedFree(p);
 }

@@ -16,6 +16,15 @@ namespace ucr {
 /// the hot path's steady state allocates nothing).
 uint64_t AllocationCount();
 
+/// \brief Bytes currently held by blocks from the global `operator
+/// new` (their usable sizes), process-wide.
+///
+/// Diff two samples around a region to measure what it retains —
+/// growth that outlives the region's temporaries. Counted for every
+/// allocation, including those inside an allocation-exclusion scope,
+/// so news and deletes always balance.
+int64_t LiveHeapBytes();
+
 /// Publishes the current `AllocationCount()` into the metrics registry
 /// as the gauge `ucr_heap_allocations`, so snapshots emitted by
 /// measuring binaries (bench `--smoke`, `ucr_admin metrics`) carry the

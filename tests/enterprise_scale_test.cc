@@ -1,13 +1,13 @@
 // Scale-level integration checks on a Livelink-shaped hierarchy: the
 // consistency properties that must survive thousands of subjects —
-// batch parallelism, whole-graph materialization, caching, and the
-// persistence round trip all agreeing with scalar resolution.
+// batch parallelism, whole-graph materialization, the snapshot epoch
+// tables, and the persistence round trip all agreeing with scalar
+// resolution.
 
 #include <gtest/gtest.h>
 
 #include "acm/assignment.h"
 #include "core/storage.h"
-#include "graph/io.h"
 #include "core/system.h"
 #include "util/random.h"
 #include "workload/enterprise.h"
@@ -82,48 +82,45 @@ TEST(EnterpriseScaleTest, EffectiveColumnAgreesWithScalarQueries) {
   }
 }
 
+// The snapshot epoch tables are the system's only memo: decisions
+// served from them (and carried over across publications) must match
+// the uncached master-state CheckAccess under rights and membership
+// churn.
 TEST(EnterpriseScaleTest, CachedAndUncachedAgreeUnderChurn) {
-  core::SystemOptions uncached_opt;
-  uncached_opt.enable_resolution_cache = false;
-  uncached_opt.enable_subgraph_cache = false;
-
-  core::AccessControlSystem cached = MakeScaleSystem();
-  core::AccessControlSystem uncached = MakeScaleSystem();
-  // (Same seed => identical systems; only the cache settings differ,
-  // applied post-hoc via a fresh build for `uncached`.)
-  core::AccessControlSystem uncached_rebuilt(
-      graph::FromEdgeListText(graph::ToEdgeListText(uncached.dag())).value(),
-      uncached_opt);
-  for (const auto& e : uncached.eacm().SortedEntries()) {
-    const std::string& name = uncached.dag().name(e.subject);
-    ASSERT_TRUE((e.mode == Mode::kPositive
-                     ? uncached_rebuilt.Grant(name, "vault", "open")
-                     : uncached_rebuilt.DenyAccess(name, "vault", "open"))
-                    .ok());
-  }
+  core::AccessControlSystem system = MakeScaleSystem();
+  system.EnableSnapshotReads();
 
   const Strategy s = core::ParseStrategy("LMP-").value();
   Random rng(99);
-  const auto sinks = cached.dag().Sinks();
+  const auto sinks = system.dag().Sinks();
+  const acm::ObjectId o = system.eacm().FindObject("vault").value();
+  const acm::RightId r = system.eacm().FindRight("open").value();
   for (int round = 0; round < 4; ++round) {
-    // Query a sample twice (to exercise hits), then churn the matrix.
+    // Query a sample twice (to exercise table hits), then churn.
     for (int i = 0; i < 50; ++i) {
       const graph::NodeId v = sinks[rng.Uniform(sinks.size())];
-      auto a = cached.CheckAccessByName(cached.dag().name(v), "vault",
-                                        "open", s);
-      auto b = uncached_rebuilt.CheckAccessByName(cached.dag().name(v),
-                                                  "vault", "open", s);
-      ASSERT_TRUE(a.ok());
-      ASSERT_TRUE(b.ok());
-      ASSERT_EQ(*a, *b) << cached.dag().name(v);
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        auto memo = system.CheckAccessSnapshot(v, o, r, s);
+        auto uncached = system.CheckAccess(v, o, r, s);
+        ASSERT_TRUE(memo.ok());
+        ASSERT_TRUE(uncached.ok());
+        ASSERT_EQ(*memo, *uncached) << system.dag().name(v);
+      }
     }
     const graph::NodeId target = static_cast<graph::NodeId>(
-        rng.Uniform(cached.dag().node_count()));
-    const std::string name = cached.dag().name(target);
-    (void)cached.Revoke(name, "vault", "open");
-    (void)uncached_rebuilt.Revoke(name, "vault", "open");
-    ASSERT_TRUE(cached.Grant(name, "vault", "open").ok());
-    ASSERT_TRUE(uncached_rebuilt.Grant(name, "vault", "open").ok());
+        rng.Uniform(system.dag().node_count()));
+    const std::string name = system.dag().name(target);
+    (void)system.Revoke(name, "vault", "open");
+    ASSERT_TRUE(system.Grant(name, "vault", "open").ok());
+    // A membership edit: the carry-over must drop exactly the moved
+    // subject's entries.
+    const graph::NodeId moved = sinks[rng.Uniform(sinks.size())];
+    if (!system.dag().parents(moved).empty()) {
+      const std::string parent =
+          system.dag().name(system.dag().parents(moved)[0]);
+      const std::string child = system.dag().name(moved);
+      ASSERT_TRUE(system.RemoveMembership(parent, child).ok());
+    }
   }
 }
 

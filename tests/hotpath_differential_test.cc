@@ -237,25 +237,19 @@ TEST(HotPathDifferentialTest, BatchResolverFastMatchesClassic) {
     queries.push_back({v, column.object, column.right});
   }
   for (const PropagationMode mode : kAllModes) {
-    // The fast branch has two sub-paths: propagation over a cached
-    // `AncestorSubgraph` and over a scratch-arena view. Exercise both.
-    for (const bool subgraph_cache : {true, false}) {
-      BatchResolverOptions fast_options;
-      fast_options.propagation_mode = mode;
-      fast_options.enable_subgraph_cache = subgraph_cache;
-      BatchResolverOptions classic_options = fast_options;
-      classic_options.use_fast_path = false;
-      BatchResolver fast(*dag, eacm, fast_options);
-      BatchResolver classic(*dag, eacm, classic_options);
-      for (const Strategy& strategy : AllStrategies()) {
-        const auto fast_result = fast.ResolveBatch(queries, strategy);
-        const auto classic_result = classic.ResolveBatch(queries, strategy);
-        ASSERT_TRUE(fast_result.ok());
-        ASSERT_TRUE(classic_result.ok());
-        ASSERT_EQ(*fast_result, *classic_result)
-            << strategy.ToMnemonic() << " mode " << ModeName(mode)
-            << (subgraph_cache ? " cached-subgraphs" : " scratch-views");
-      }
+    BatchResolverOptions fast_options;
+    fast_options.propagation_mode = mode;
+    BatchResolverOptions classic_options = fast_options;
+    classic_options.use_fast_path = false;
+    BatchResolver fast(*dag, eacm, fast_options);
+    BatchResolver classic(*dag, eacm, classic_options);
+    for (const Strategy& strategy : AllStrategies()) {
+      const auto fast_result = fast.ResolveBatch(queries, strategy);
+      const auto classic_result = classic.ResolveBatch(queries, strategy);
+      ASSERT_TRUE(fast_result.ok());
+      ASSERT_TRUE(classic_result.ok());
+      ASSERT_EQ(*fast_result, *classic_result)
+          << strategy.ToMnemonic() << " mode " << ModeName(mode);
     }
   }
 }

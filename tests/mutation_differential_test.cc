@@ -4,9 +4,10 @@
 // hierarchy. After every round the in-place-mutated hierarchy is
 // compared against an independent model (names + edge set maintained
 // alongside the ops) and a from-scratch DagBuilder rebuild of that
-// model; every decision of the incremental write path — the cached
-// facade, the allocation-free fast path, and the multi-threaded
-// BatchResolver with forwarded affected sets — must be bit-identical
+// model; every decision of the incremental write path — the facade
+// over its incrementally refreshed reachability index, the
+// allocation-free fast path, and the multi-threaded BatchResolver —
+// must be bit-identical
 // (decision, majority counters, Auth flags, returned line) to the
 // classic engines resolving over the rebuilt oracle.
 
@@ -119,17 +120,15 @@ void ExpectTracesEqual(const ResolveTrace& got, const ResolveTrace& want,
       << "round " << round << " strategy " << strategy_index;
 }
 
-/// One randomized mutation applied to the system, mirrored into the
-/// model on success, and its affected set forwarded to the external
-/// resolver — exactly what a long-running server's write path does.
-void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
-                   HierarchyModel& model, Random& rng,
+/// One randomized mutation applied to the system and mirrored into
+/// the model on success.
+void ApplyRandomOp(AccessControlSystem& system, HierarchyModel& model,
+                   Random& rng,
                    const std::string& object, const std::string& right,
                    size_t* fresh_counter) {
   const auto random_name = [&] {
     return model.names[rng.Uniform(model.names.size())];
   };
-  std::vector<graph::NodeId> affected;
   switch (rng.Uniform(6)) {
     // Setting a triple that already carries a label is rejected
     // (Set, not Overwrite), so rights edits revoke first — the op
@@ -156,7 +155,7 @@ void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
       // rejected with the hierarchy unchanged.
       const std::string parent = random_name();
       const std::string child = random_name();
-      if (system.AddMembership(parent, child, &affected).ok()) {
+      if (system.AddMembership(parent, child).ok()) {
         model.edges.emplace_back(parent, child);
       }
       break;
@@ -166,7 +165,7 @@ void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
       // cycle, so this op must succeed and grow the node set.
       const std::string parent = random_name();
       const std::string child = "hire" + std::to_string((*fresh_counter)++);
-      ASSERT_TRUE(system.AddMembership(parent, child, &affected).ok());
+      ASSERT_TRUE(system.AddMembership(parent, child).ok());
       model.EnsureName(parent);
       model.EnsureName(child);
       model.edges.emplace_back(parent, child);
@@ -177,25 +176,24 @@ void ApplyRandomOp(AccessControlSystem& system, BatchResolver& resolver,
         const auto& edge = model.edges[rng.Uniform(model.edges.size())];
         const std::string parent = edge.first;
         const std::string child = edge.second;
-        ASSERT_TRUE(system.RemoveMembership(parent, child, &affected).ok());
+        ASSERT_TRUE(system.RemoveMembership(parent, child).ok());
         ASSERT_TRUE(model.EraseEdge(parent, child));
       } else {
         // Random pair: usually absent; NotFound leaves state unchanged.
         const std::string parent = random_name();
         const std::string child = random_name();
-        if (system.RemoveMembership(parent, child, &affected).ok()) {
+        if (system.RemoveMembership(parent, child).ok()) {
           ASSERT_TRUE(model.EraseEdge(parent, child));
         }
       }
       break;
     }
   }
-  if (!affected.empty()) resolver.InvalidateSubjects(affected);
 }
 
 /// The differential driver: `rounds` rounds of 1–2 random mutations,
 /// each followed by a structural check, a from-scratch oracle rebuild,
-/// and a sweep of queries comparing the cached facade, the fast path
+/// and a sweep of queries comparing the facade, the fast path
 /// (with its Fig. 4 trace), and — every fourth round — a
 /// multi-threaded BatchResolver batch against the classic engines on
 /// the oracle. Strategies rotate through all 48 canonical instances.
@@ -219,8 +217,7 @@ void RunDifferential(AccessControlSystem& system, const std::string& object,
   for (size_t round = 0; round < rounds; ++round) {
     const size_t ops = 1 + rng.Uniform(2);
     for (size_t i = 0; i < ops; ++i) {
-      ApplyRandomOp(system, resolver, model, rng, object, right,
-                    &fresh_counter);
+      ApplyRandomOp(system, model, rng, object, right, &fresh_counter);
       if (::testing::Test::HasFatalFailure()) return;
     }
 
@@ -241,11 +238,11 @@ void RunDifferential(AccessControlSystem& system, const std::string& object,
                                       classic, &classic_trace);
       ASSERT_TRUE(want.ok()) << "round " << round;
 
-      // The cached incremental facade (scoped invalidation) ...
-      const auto cached =
+      // The facade over its incrementally refreshed index ...
+      const auto facade =
           system.CheckAccess(subject, *object_id, *right_id, strategy);
-      ASSERT_TRUE(cached.ok()) << "round " << round;
-      EXPECT_EQ(*cached, *want)
+      ASSERT_TRUE(facade.ok()) << "round " << round;
+      EXPECT_EQ(*facade, *want)
           << "round " << round << " subject "
           << system.dag().name(subject) << " strategy "
           << strategy.CanonicalIndex();
@@ -330,80 +327,6 @@ TEST(MutationDifferentialTest,
                   /*queries_per_round=*/6);
 }
 
-// The two invalidation policies must be observationally identical:
-// drive an incremental system and a full-clear system through the same
-// randomized ApplyMutations batches and compare every decision.
-TEST(MutationDifferentialTest, ScopedAndFullClearPoliciesAgreeUnderChurn) {
-  SystemOptions full_clear_options;
-  full_clear_options.incremental_hierarchy_updates = false;
-  AccessControlSystem incremental = MakeEnterpriseSystem();
-  AccessControlSystem full_clear = MakeEnterpriseSystem(full_clear_options);
-  ASSERT_EQ(incremental.dag().node_count(), full_clear.dag().node_count());
-
-  const auto object = incremental.eacm().FindObject("doc");
-  const auto right = incremental.eacm().FindRight("read");
-  ASSERT_TRUE(object.ok() && right.ok());
-  const std::vector<Strategy>& strategies = AllStrategies();
-
-  using Op = AccessControlSystem::MutationOp;
-  Random rng(303);
-  size_t fresh = 0;
-  for (size_t round = 0; round < 30; ++round) {
-    // Both systems evolve identically, so a batch that aborts midway
-    // (e.g. on a duplicate edge) aborts at the same op in both.
-    std::vector<Op> ops;
-    const size_t batch_size = 1 + rng.Uniform(3);
-    for (size_t i = 0; i < batch_size; ++i) {
-      const std::string a =
-          incremental.dag().name(static_cast<graph::NodeId>(
-              rng.Uniform(incremental.dag().node_count())));
-      const std::string b =
-          incremental.dag().name(static_cast<graph::NodeId>(
-              rng.Uniform(incremental.dag().node_count())));
-      switch (rng.Uniform(5)) {
-        case 0:
-          ops.push_back(Op::Grant(a, "doc", "read"));
-          break;
-        case 1:
-          ops.push_back(Op::Deny(a, "doc", "read"));
-          break;
-        case 2:
-          ops.push_back(
-              Op::AddMember(a, "batchhire" + std::to_string(fresh++)));
-          break;
-        case 3:
-          ops.push_back(Op::AddMember(a, b));
-          break;
-        default:
-          ops.push_back(Op::RemoveMember(a, b));
-          break;
-      }
-    }
-    AccessControlSystem::MutationBatchStats incr_stats;
-    AccessControlSystem::MutationBatchStats clear_stats;
-    const Status incr_status = incremental.ApplyMutations(ops, &incr_stats);
-    const Status clear_status = full_clear.ApplyMutations(ops, &clear_stats);
-    ASSERT_EQ(incr_status.ok(), clear_status.ok()) << "round " << round;
-    ASSERT_EQ(incr_stats.applied, clear_stats.applied) << "round " << round;
-    ASSERT_EQ(incr_stats.affected, clear_stats.affected) << "round " << round;
-    ASSERT_EQ(incremental.dag().node_count(), full_clear.dag().node_count());
-
-    const Strategy& strategy = strategies[round % strategies.size()];
-    for (size_t q = 0; q < 8; ++q) {
-      const graph::NodeId subject = static_cast<graph::NodeId>(
-          rng.Uniform(incremental.dag().node_count()));
-      const auto scoped =
-          incremental.CheckAccess(subject, *object, *right, strategy);
-      const auto cleared =
-          full_clear.CheckAccess(subject, *object, *right, strategy);
-      ASSERT_TRUE(scoped.ok() && cleared.ok()) << "round " << round;
-      EXPECT_EQ(*scoped, *cleared)
-          << "round " << round << " subject "
-          << incremental.dag().name(subject);
-    }
-  }
-}
-
 #if UCR_METRICS_ENABLED
 
 // The PR's online guarantee: with shadow verification at interval 1,
@@ -429,13 +352,9 @@ TEST(MutationDifferentialTest, ShadowVerificationSeesNoDivergenceUnderChurn) {
   for (size_t round = 0; round < 12; ++round) {
     const std::string parent = system.dag().name(static_cast<graph::NodeId>(
         rng.Uniform(system.dag().node_count())));
-    std::vector<graph::NodeId> affected;
-    ASSERT_TRUE(system
-                    .AddMembership(parent,
-                                   "shadowhire" + std::to_string(fresh++),
-                                   &affected)
-                    .ok());
-    resolver.InvalidateSubjects(affected);
+    ASSERT_TRUE(
+        system.AddMembership(parent, "shadowhire" + std::to_string(fresh++))
+            .ok());
 
     std::vector<BatchResolver::Query> batch;
     for (size_t i = 0; i < 16; ++i) {

@@ -119,7 +119,7 @@ TEST(ObsExporterConcurrencyTest, ParallelScrapersSurviveMutationChurn) {
   std::atomic<uint64_t> bodies_checked{0};
 
   // Churn thread: epoch-bumping mutation batches interleaved with
-  // queries, so scrapes race live hierarchy edits and cache sweeps.
+  // queries, so scrapes race live hierarchy edits and publications.
   std::thread churn([&] {
     using MutationOp = core::AccessControlSystem::MutationOp;
     while (!stop_churn.load(std::memory_order_relaxed)) {

@@ -90,6 +90,14 @@ TEST(ObsHttpExporterTest, RenderEndpointCoversAllPaths) {
   EXPECT_NE(body.find("\"traces\""), std::string::npos);
   EXPECT_NE(body.find("\"shadow_mismatches\""), std::string::npos);
 
+  // /statz reports the one memo there is: the snapshot epoch tables.
+  ASSERT_TRUE(HttpExporter::RenderEndpoint("/statz", &body, &type));
+  EXPECT_NE(type.find("application/json"), std::string::npos);
+  EXPECT_TRUE(JsonLooksValid(body)) << body;
+  EXPECT_NE(body.find("\"snapshot_cache_hit_rate\""), std::string::npos);
+  EXPECT_EQ(body.find("\"resolution_cache_hit_rate\""), std::string::npos)
+      << body;
+
   EXPECT_FALSE(HttpExporter::RenderEndpoint("/nope", &body, &type));
 }
 

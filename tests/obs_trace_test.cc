@@ -126,12 +126,14 @@ TEST(ObsTraceTest, SampledTraceReproducesFig4OnPaperExample) {
   tracer.Clear();
 }
 
-// The system front door (CheckAccess) records the same derivation,
-// plus cache interactions: a repeat query is a resolution-cache hit
-// with no Fig. 4 payload of its own.
+// The system's memoized front door (CheckAccessSnapshot) records the
+// same derivation, plus memo interactions: a repeat query is a
+// resolution-table hit with no Fig. 4 payload of its own.
 TEST(ObsTraceTest, SystemQueriesRecordCacheInteractions) {
   core::PaperExample ex = core::MakePaperExample();
-  core::AccessControlSystem system(std::move(ex.dag));
+  core::SystemOptions options;
+  options.enable_snapshot_reads = true;
+  core::AccessControlSystem system(std::move(ex.dag), options);
   ASSERT_TRUE(system.Grant("S2", "obj", "read").ok());
   ASSERT_TRUE(system.Grant("S4", "obj", "read").ok());
   ASSERT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
@@ -143,7 +145,8 @@ TEST(ObsTraceTest, SystemQueriesRecordCacheInteractions) {
   tracer.Clear();
 
   for (int repeat = 0; repeat < 2; ++repeat) {
-    const auto mode = system.CheckAccessByName("User", "obj", "read");
+    const auto mode =
+        system.CheckAccessSnapshotByName("User", "obj", "read");
     ASSERT_TRUE(mode.ok());
     // Paper Table 2, strategy D+LP-: the preference rule settles the
     // {+,-} conflict in favour of '-'.

@@ -188,22 +188,5 @@ TEST(ParallelDifferentialTest, CheckAccessBatchParallelMatchesInline) {
   }
 }
 
-TEST(ParallelDifferentialTest, BatchResolverCachesStayWarmAcrossBatches) {
-  AccessControlSystem system = MakeEnterpriseSystem();
-  workload::QueryStreamOptions stream;
-  stream.count = 400;
-  stream.seed = 31;
-  auto queries =
-      workload::GenerateQueryStream(system.dag(), system.eacm(), stream);
-  ASSERT_TRUE(queries.ok());
-  BatchResolver resolver(system, /*threads=*/4);
-  ASSERT_TRUE(resolver.ResolveBatch(*queries, S("D+LP-")).ok());
-  const uint64_t misses_after_first = resolver.resolution_cache().stats().misses;
-  ASSERT_TRUE(resolver.ResolveBatch(*queries, S("D+LP-")).ok());
-  EXPECT_EQ(resolver.resolution_cache().stats().misses, misses_after_first)
-      << "replaying the same batch must be all hits";
-  EXPECT_GT(resolver.resolution_cache().stats().hits, 0u);
-}
-
 }  // namespace
 }  // namespace ucr::core

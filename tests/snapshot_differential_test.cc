@@ -21,6 +21,7 @@
 #include "core/system.h"
 #include "graph/generators.h"
 #include "util/random.h"
+#include "workload/enterprise.h"
 
 namespace ucr::core {
 namespace {
@@ -281,6 +282,98 @@ TEST(SnapshotDifferentialTest, CarryOverOnlyKeepsDerivableState) {
   EXPECT_GT(stats.resolution_dropped, 0u);
   // Whatever carried must still produce oracle-identical decisions.
   ExpectSnapshotAgrees(*second);
+}
+
+/// Carry-over scoping: a hierarchy edit drops exactly the memoized
+/// decisions of its affected set. Removing one user's membership must
+/// cost that user's warmed entries and nothing else — the rest of the
+/// directory keeps its hot set across the publication.
+TEST(SnapshotDifferentialTest, CarryOverIsScopedToTheHierarchyEdit) {
+  Random rng(7);
+  workload::EnterpriseOptions shape;
+  shape.individuals = 300;
+  shape.groups = 700;
+  shape.top_level_groups = 10;
+  shape.target_edges = 2600;
+  auto dag = workload::GenerateEnterpriseHierarchy(shape, rng);
+  ASSERT_TRUE(dag.ok());
+  AccessControlSystem system(std::move(dag).value());
+  Random labels(8);
+  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+    if (!labels.Bernoulli(0.02)) continue;
+    const std::string& name = system.dag().name(v);
+    ASSERT_TRUE((labels.Bernoulli(0.3) ? system.DenyAccess(name, "doc", "read")
+                                       : system.Grant(name, "doc", "read"))
+                    .ok());
+  }
+  const acm::ObjectId doc = system.eacm().FindObject("doc").value();
+  const acm::RightId read = system.eacm().FindRight("read").value();
+
+  // Warm every subject under two strategies; the table is sized so no
+  // store is skipped in either epoch.
+  constexpr size_t kCapacity = size_t{1} << 14;
+  auto first = BuildSnapshot(system.dag(), system.eacm(), system.strategy(),
+                             PropagationMode::kBoth, /*epoch=*/1, nullptr,
+                             kCapacity);
+  for (graph::NodeId v = 0; v < first->dag.node_count(); ++v) {
+    for (const char* mnemonic : {"D+LP-", "MP+"}) {
+      ASSERT_TRUE(SnapshotResolveAccess(*first, v, doc, read,
+                                        ParseStrategy(mnemonic).value())
+                      .ok());
+    }
+  }
+  ASSERT_EQ(first->resolution.size(), 2 * first->dag.node_count());
+
+  // The churned user: a sink with a parent, so its affected set is
+  // itself alone.
+  graph::NodeId churn = graph::kInvalidNode;
+  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+    if (system.dag().children(v).empty() && !system.dag().parents(v).empty()) {
+      churn = v;
+      break;
+    }
+  }
+  ASSERT_NE(churn, graph::kInvalidNode);
+  size_t churn_entries = 0;
+  first->resolution.ForEach(
+      [&](graph::NodeId s, acm::ObjectId, acm::RightId, uint8_t, Mode) {
+        churn_entries += s == churn;
+      });
+  ASSERT_EQ(churn_entries, 2u);
+
+  const std::string parent =
+      system.dag().name(system.dag().parents(churn)[0]);
+  const std::string child = system.dag().name(churn);
+  std::vector<graph::NodeId> affected;
+  ASSERT_TRUE(system.RemoveMembership(parent, child, &affected).ok());
+  ASSERT_EQ(affected, std::vector<graph::NodeId>{churn});
+
+  SnapshotBuildStats stats;
+  auto second = BuildSnapshot(system.dag(), system.eacm(), system.strategy(),
+                              PropagationMode::kBoth, /*epoch=*/2, first.get(),
+                              kCapacity, /*reach_index=*/nullptr, &stats);
+  EXPECT_EQ(stats.resolution_dropped, churn_entries);
+  EXPECT_EQ(stats.resolution_carried,
+            first->resolution.size() - churn_entries);
+  EXPECT_EQ(second->resolution.size(), stats.resolution_carried);
+  second->resolution.ForEach(
+      [&](graph::NodeId s, acm::ObjectId, acm::RightId, uint8_t, Mode) {
+        EXPECT_NE(s, churn) << "the edited user's entries must not carry";
+      });
+  // Every carried decision is still the oracle's.
+  ResolveAccessOptions classic;
+  classic.use_fast_path = false;
+  for (graph::NodeId v = 0; v < second->dag.node_count(); ++v) {
+    for (const char* mnemonic : {"D+LP-", "MP+"}) {
+      const Strategy strategy = ParseStrategy(mnemonic).value();
+      const auto want = ResolveAccess(second->dag, second->eacm, v, doc, read,
+                                      strategy, classic);
+      ASSERT_TRUE(want.ok());
+      ASSERT_EQ(SnapshotResolveAccess(*second, v, doc, read, strategy).value(),
+                *want)
+          << second->dag.name(v) << " " << mnemonic;
+    }
+  }
 }
 
 }  // namespace
