@@ -2,17 +2,18 @@
 // and heap traffic of the scratch-arena + flat-propagation query
 // engine against the classic engines it replaces.
 //
-// Workload, seed, strategy, and query count match the batch_resolve
-// section of bench/throughput_parallel (BENCH_throughput_parallel.json)
-// so qps is directly comparable across PRs. This binary links the
-// counting allocator (util/alloc_counter.h), so every section also
-// reports heap allocations per query; production binaries do not carry
-// the counting hook.
+// Workload, seed, strategy, and query count match the
+// check_access_batch section of bench/throughput_parallel
+// (BENCH_throughput_parallel.json), which runs the same queries through
+// the facade's indexed path. This binary links the counting allocator
+// (util/alloc_counter.h), so every section also reports heap
+// allocations per query; production binaries do not carry the
+// counting hook.
 //
 // Each section prints one machine-readable line (prefixed "JSON ") for
 // collection into BENCH_hotpath.json:
 //
-//   JSON {"bench":"hotpath","section":"batch_resolve","fast_path":true,...}
+//   JSON {"bench":"hotpath","section":"resolve_access","fast_path":true,...}
 //
 // `--smoke` shrinks the workload so CI finishes in well under 5s.
 // `--audit` starts the audit log on a discard sink and `--shadow <N>`
@@ -34,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/batch_resolver.h"
 #include "core/persistent_system.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
@@ -249,25 +249,6 @@ int main(int argc, char** argv) {
     std::remove(core::PersistentSystem::SnapshotPath(dir).c_str());
     std::remove(core::PersistentSystem::WalPath(dir).c_str());
     ::rmdir(dir.c_str());
-  }
-
-  // -- batch_resolve: the serving path. A fresh resolver per pass,
-  // exactly like throughput_parallel's batch_resolve @1 thread, so the
-  // qps trajectory across PRs stays comparable. Allocations here
-  // include the per-batch result vector and the classic engine's
-  // per-query bags; the steady-state zero-allocation property is the
-  // resolve_access fast row and the regression test's concern.
-  for (const bool fast_path : {false, true}) {
-    core::BatchResolverOptions options;
-    options.threads = 1;
-    options.use_fast_path = fast_path;
-    options.propagation_mode = system.propagation_mode();
-    results.push_back(
-        Measure("batch_resolve", fast_path, *queries, [&](auto span) {
-          core::BatchResolver resolver(system.dag(), system.eacm(), options);
-          auto batch = resolver.ResolveBatch(span, strategy);
-          if (!batch.ok()) std::abort();
-        }));
   }
 
   // -- profiled: the fast resolve_access workload re-run with the

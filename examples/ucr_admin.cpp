@@ -393,8 +393,7 @@ int Top(const std::string& target, bool once) {
            << "  qps          " << JsonNumber(body, "qps") << "\n"
            << "  p99          resolve " << FormatNs(JsonNumber(body, "resolve_p99_ns"))
            << "   system " << FormatNs(JsonNumber(body, "system_p99_ns"))
-           << "   snapshot " << FormatNs(JsonNumber(body, "snapshot_p99_ns"))
-           << "   batch " << FormatNs(JsonNumber(body, "batch_p99_ns")) << "\n"
+           << "   snapshot " << FormatNs(JsonNumber(body, "snapshot_p99_ns")) << "\n"
            << "  cache hits   snapshot "
            << JsonNumber(body, "snapshot_cache_hit_rate") * 100.0 << "%\n"
            << "  epoch        publish " << JsonNumber(body, "epoch_publish_rate")

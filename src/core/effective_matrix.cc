@@ -37,9 +37,11 @@ MatrixMetrics& GetMatrixMetrics() {
 
 }  // namespace
 
-StatusOr<EffectiveMatrix> EffectiveMatrix::MaterializeFrom(
-    const graph::Dag& dag, const acm::ExplicitAcm& eacm, PropagationMode mode,
-    const Strategy& strategy, size_t threads) {
+StatusOr<EffectiveMatrix> EffectiveMatrix::Materialize(
+    const AccessControlSystem& system, const Strategy& strategy,
+    size_t threads) {
+  const graph::Dag& dag = system.dag();
+  const acm::ExplicitAcm& eacm = system.eacm();
   EffectiveMatrix matrix;
   matrix.strategy_ = strategy.Canonical();
   matrix.epoch_ = eacm.epoch();
@@ -67,23 +69,10 @@ StatusOr<EffectiveMatrix> EffectiveMatrix::MaterializeFrom(
   std::sort(referenced.begin(), referenced.end());
   referenced.erase(std::unique(referenced.begin(), referenced.end()),
                    referenced.end());
-  matrix.RebuildColumns(dag, eacm, mode, referenced, threads);
+  matrix.RebuildColumns(dag, eacm, system.propagation_mode(), referenced,
+                        threads);
   if constexpr (obs::kEnabled) GetMatrixMetrics().materializations.Inc();
   return matrix;
-}
-
-StatusOr<EffectiveMatrix> EffectiveMatrix::Materialize(
-    const AccessControlSystem& system, const Strategy& strategy,
-    size_t threads) {
-  return MaterializeFrom(system.dag(), system.eacm(),
-                         system.propagation_mode(), strategy, threads);
-}
-
-StatusOr<EffectiveMatrix> EffectiveMatrix::Materialize(
-    const HierarchySnapshot& snapshot, const Strategy& strategy,
-    size_t threads) {
-  return MaterializeFrom(snapshot.dag, snapshot.eacm,
-                         snapshot.propagation_mode, strategy, threads);
 }
 
 EffectiveMatrix::ColumnBits EffectiveMatrix::ComputeColumn(

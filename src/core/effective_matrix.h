@@ -9,7 +9,6 @@
 #include "acm/acm.h"
 #include "acm/mode.h"
 #include "core/propagate.h"
-#include "core/snapshot.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "graph/dag.h"
@@ -43,18 +42,6 @@ class EffectiveMatrix {
   /// build — both paths run the same per-column derivation.
   static StatusOr<EffectiveMatrix> Materialize(
       const AccessControlSystem& system, const Strategy& strategy,
-      size_t threads = 1);
-
-  /// \brief Materializes from an epoch-published snapshot (DESIGN.md
-  /// §11) instead of the live system: the build reads only the
-  /// snapshot's immutable hierarchy and matrix, so it can run
-  /// concurrently with mutators — the live system keeps publishing new
-  /// epochs while the matrix derives against the pinned one. The
-  /// caller must hold a `SnapshotManager::ReadPin` on `snapshot` for
-  /// the duration of the call. `IsCurrentFor` afterwards reports
-  /// whether the *live* system has moved past the snapshot's epoch.
-  static StatusOr<EffectiveMatrix> Materialize(
-      const HierarchySnapshot& snapshot, const Strategy& strategy,
       size_t threads = 1);
 
   /// The derived mode for the triple. O(1). Triples of objects/rights
@@ -113,14 +100,6 @@ class EffectiveMatrix {
     std::vector<uint64_t> bits;
     uint64_t epoch = 0;
   };
-
-  /// Shared build core: both Materialize overloads reduce to a
-  /// (hierarchy, explicit matrix, propagation mode) triple — the live
-  /// system and a pinned snapshot differ only in where that triple
-  /// lives and how long it stays valid.
-  static StatusOr<EffectiveMatrix> MaterializeFrom(
-      const graph::Dag& dag, const acm::ExplicitAcm& eacm,
-      PropagationMode mode, const Strategy& strategy, size_t threads);
 
   /// Derives one column (stage the sparse column → flat whole-graph
   /// propagation → streaming-resolve each subject's bag) on the

@@ -14,17 +14,19 @@ namespace ucr::core {
 
 namespace {
 
-/// Front-door telemetry (DESIGN.md §8): CheckAccess is the serving
-/// entry point of the installed system over its master state (the
-/// path behind CheckAccessByName and the admin CLI), distinct from the
-/// ResolveAccess family it calls and the batch engine.
+/// Front-door telemetry (DESIGN.md §8): CheckAccess and
+/// CheckAccessBatch are the serving entry points of the installed
+/// system over its master state (the paths behind CheckAccessByName
+/// and the admin CLI), distinct from the ResolveAccess family they
+/// call. Every query of either counts once.
 struct SystemMetrics {
   obs::Counter& queries = obs::Registry::Global().GetCounter(
       "ucr_system_queries_total",
-      "Queries answered by AccessControlSystem::CheckAccess");
+      "Queries answered by AccessControlSystem::CheckAccess and "
+      "CheckAccessBatch");
   obs::Histogram& latency = obs::Registry::Global().GetHistogram(
       "ucr_system_query_latency_ns",
-      "CheckAccess latency, reachability-index refresh included (ns)");
+      "Per-query latency of CheckAccess and CheckAccessBatch (ns)");
 };
 
 SystemMetrics& GetSystemMetrics() {
@@ -465,13 +467,19 @@ StatusOr<acm::Mode> AccessControlSystem::CheckAccess(graph::NodeId subject,
                                                      acm::ObjectId object,
                                                      acm::RightId right,
                                                      const Strategy& strategy) {
+  // Coalesces any pending mutation dirt into one incremental rebuild;
+  // the query then composes the sink bag in O(label) (DESIGN.md §12),
+  // or runs the allocation-free hot path when the index is not usable.
+  EnsureReachIndexCurrent();
+  return ResolveOnMaster(subject, object, right, strategy);
+}
+
+StatusOr<acm::Mode> AccessControlSystem::ResolveOnMaster(
+    graph::NodeId subject, acm::ObjectId object, acm::RightId right,
+    const Strategy& strategy) const {
   const uint64_t t_start = obs::kEnabled ? obs::NowNs() : 0;
   const uint64_t trace_before = obs::QueryTracer::LastSequenceOnThisThread();
-  // Coalesces any pending mutation dirt into one incremental rebuild;
-  // ResolveAccess then composes the sink bag in O(label) (DESIGN.md
-  // §12), or runs the allocation-free hot path when the index is not
-  // usable. It validates the ids, traces, and shadow-verifies itself.
-  EnsureReachIndexCurrent();
+  // ResolveAccess validates the ids, traces, and shadow-verifies itself.
   UCR_ASSIGN_OR_RETURN(
       const acm::Mode mode,
       ResolveAccess(dag_, eacm_, subject, object, right, strategy,
@@ -503,22 +511,19 @@ StatusOr<std::vector<acm::Mode>> AccessControlSystem::CheckAccessBatch(
       return Status::OutOfRange("batch query references unknown ids");
     }
   }
-  std::vector<acm::Mode> results(queries.size(), acm::Mode::kNegative);
-  // Const access to the hierarchy and matrix only. The index is
-  // refreshed once up front, so workers share one immutable generation.
-  // The calling thread participates, so the pool gets threads - 1
-  // workers; with none, the loop runs inline.
+  // The index is refreshed once up front, so workers share one
+  // immutable generation and touch the master state through const
+  // access only. The calling thread participates, so the pool gets
+  // threads - 1 workers; with none, the loop runs inline.
   EnsureReachIndexCurrent();
-  const ResolveAccessOptions options =
-      MasterResolveOptions(options_.propagation_mode);
+  std::vector<acm::Mode> results(queries.size(), acm::Mode::kNegative);
   const Strategy canonical = strategy.Canonical();
   const size_t executors = ThreadPool::ClampToHardware(
       std::min(threads, queries.size()));
   ThreadPool pool(executors <= 1 ? 0 : executors - 1);
   pool.ParallelFor(0, queries.size(), [&](size_t i) {
-    results[i] = ResolveAccess(dag_, eacm_, queries[i].subject,
-                               queries[i].object, queries[i].right, canonical,
-                               options, nullptr, nullptr, reach_index_.get())
+    const AccessQuery& q = queries[i];
+    results[i] = ResolveOnMaster(q.subject, q.object, q.right, canonical)
                      .value();
   });
   return results;

@@ -127,8 +127,8 @@ class AccessControlSystem {
   const acm::ExplicitAcm& eacm() const { return eacm_; }
 
   /// The propagation extension mode every query of this system applies
-  /// (read by external engines — EffectiveMatrix, BatchResolver — so
-  /// their derivations match this system's own decisions exactly).
+  /// (read by external engines such as EffectiveMatrix, so their
+  /// derivations match this system's own decisions exactly).
   PropagationMode propagation_mode() const {
     return options_.propagation_mode;
   }
@@ -286,11 +286,12 @@ class AccessControlSystem {
   /// \brief Resolves a batch of queries under one strategy, optionally
   /// on several threads. Results align positionally with `queries`.
   ///
-  /// Each query is one `CheckAccess`-equivalent `ResolveAccess` call.
-  /// The hierarchy and the explicit matrix are immutable during the
-  /// call, so multi-threaded execution is safe. `threads` counts the
-  /// calling thread, is clamped to the hardware concurrency, and 0 or
-  /// 1 runs inline.
+  /// Refreshes the reachability index once, then resolves each query
+  /// exactly as `CheckAccess` does, counted and timed in the same
+  /// `ucr_system_*` family. The hierarchy and the explicit matrix are
+  /// immutable during the call, so multi-threaded execution is safe.
+  /// `threads` counts the calling thread, is clamped to the hardware
+  /// concurrency, and 0 or 1 runs inline.
   StatusOr<std::vector<acm::Mode>> CheckAccessBatch(
       std::span<const AccessQuery> queries, const Strategy& strategy,
       size_t threads = 1);
@@ -402,6 +403,15 @@ class AccessControlSystem {
   Status MutateMembership(bool add, std::string_view parent,
                           std::string_view child,
                           std::vector<graph::NodeId>* affected);
+
+  /// One query over the master state: `ResolveAccess` with
+  /// `reach_index_` as last refreshed (callers refresh it first),
+  /// recorded as front-door traffic (`ucr_system_queries_total`,
+  /// `ucr_system_query_latency_ns` and its trace exemplar). Const, so
+  /// `CheckAccessBatch` workers run it concurrently.
+  StatusOr<acm::Mode> ResolveOnMaster(graph::NodeId subject,
+                                      acm::ObjectId object, acm::RightId right,
+                                      const Strategy& strategy) const;
 
   /// \brief Brings `reach_index_` up to date with the master state.
   ///

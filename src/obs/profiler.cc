@@ -9,21 +9,19 @@ namespace ucr::obs {
 namespace {
 
 constexpr const char* kPhaseNames[kPhaseCount] = {
-    "cache_probe", "extract", "propagate", "compose", "resolve",
-    "batch_assemble"};
+    "cache_probe", "extract", "propagate", "compose", "resolve"};
 
 constexpr const char* kPhaseMetricNames[kPhaseCount] = {
     "ucr_phase_cache_probe_ns", "ucr_phase_extract_ns",
     "ucr_phase_propagate_ns",   "ucr_phase_compose_ns",
-    "ucr_phase_resolve_ns",     "ucr_phase_batch_assemble_ns"};
+    "ucr_phase_resolve_ns"};
 
 constexpr const char* kPhaseHelp[kPhaseCount] = {
     "Per-query time in cache/epoch-table probes (ns, sampled)",
     "Per-query time in ancestor sub-graph extraction (ns, sampled)",
     "Per-query time in label propagation (ns, sampled)",
     "Per-query time in indexed sink-bag composition (ns, sampled)",
-    "Per-query time in Fig. 4 resolution (ns, sampled)",
-    "Per-batch time in batch validation/assembly (ns, sampled)"};
+    "Per-query time in Fig. 4 resolution (ns, sampled)"};
 
 }  // namespace
 

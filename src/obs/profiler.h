@@ -27,9 +27,8 @@ enum class Phase : uint8_t {
   kPropagate,       ///< Steps 2-3: label propagation to the sink.
   kCompose,         ///< Reachability-index sink-bag composition (§12).
   kResolve,         ///< Step 4: Fig. 4 resolution over the sink bag.
-  kBatchAssemble,   ///< Batch validation + result assembly (serving path).
 };
-inline constexpr size_t kPhaseCount = 6;
+inline constexpr size_t kPhaseCount = 5;
 
 /// Short phase label ("cache_probe", "extract", ...).
 const char* PhaseName(Phase phase);
@@ -114,16 +113,16 @@ class CycleClock {
 
 /// \brief Owner scope of one sampled query's phase attribution.
 ///
-/// The outermost sampled entry point (ResolveAccess standalone,
-/// CheckAccess, BatchResolver::ResolveOne, SnapshotResolveAccess)
+/// The outermost sampled entry point (ResolveAccess, which CheckAccess
+/// and CheckAccessBatch call per query, or SnapshotResolveAccess)
 /// constructs one with its sampling decision. When `sampled` is true
 /// and no outer scope exists, the scope activates the thread's
 /// accumulator; inner `ScopedPhaseTimer`s — woven through extraction,
 /// propagation, composition, resolution, and the cache probes — then
 /// attribute into it regardless of which layer they live in. The
 /// destructor flushes the accumulated phases into the `ucr_phase_*_ns`
-/// histograms. A nested scope (e.g. ResolveAccess under CheckAccess)
-/// is a no-op: the outer owner keeps the attribution.
+/// histograms. A nested scope is a no-op: the outer owner keeps the
+/// attribution.
 class ScopedPhaseCollection {
  public:
   explicit ScopedPhaseCollection(bool sampled) {

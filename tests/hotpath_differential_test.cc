@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "acm/acm.h"
-#include "core/batch_resolver.h"
 #include "core/effective_matrix.h"
 #include "core/paper_example.h"
 #include "core/propagate.h"
@@ -218,38 +217,6 @@ TEST(HotPathDifferentialTest, ResolveEntriesMatchesResolveOnPropagatedBags) {
         ASSERT_EQ(streaming_mode, vector_mode);
         ExpectTraceEq(streaming_trace, vector_trace);
       }
-    }
-  }
-}
-
-TEST(HotPathDifferentialTest, BatchResolverFastMatchesClassic) {
-  Random rng(27);
-  graph::LayeredDagOptions shape;
-  shape.layers = 5;
-  shape.nodes_per_layer = 10;
-  shape.skip_edge_probability = 0.1;
-  auto dag = graph::GenerateLayeredDag(shape, rng);
-  ASSERT_TRUE(dag.ok());
-  acm::ExplicitAcm eacm;
-  const Column column = MakeRandomColumn(eacm, *dag, "o", "r", 0.2, rng);
-  std::vector<BatchResolver::Query> queries;
-  for (graph::NodeId v = 0; v < dag->node_count(); ++v) {
-    queries.push_back({v, column.object, column.right});
-  }
-  for (const PropagationMode mode : kAllModes) {
-    BatchResolverOptions fast_options;
-    fast_options.propagation_mode = mode;
-    BatchResolverOptions classic_options = fast_options;
-    classic_options.use_fast_path = false;
-    BatchResolver fast(*dag, eacm, fast_options);
-    BatchResolver classic(*dag, eacm, classic_options);
-    for (const Strategy& strategy : AllStrategies()) {
-      const auto fast_result = fast.ResolveBatch(queries, strategy);
-      const auto classic_result = classic.ResolveBatch(queries, strategy);
-      ASSERT_TRUE(fast_result.ok());
-      ASSERT_TRUE(classic_result.ok());
-      ASSERT_EQ(*fast_result, *classic_result)
-          << strategy.ToMnemonic() << " mode " << ModeName(mode);
     }
   }
 }

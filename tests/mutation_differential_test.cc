@@ -6,7 +6,7 @@
 // alongside the ops) and a from-scratch DagBuilder rebuild of that
 // model; every decision of the incremental write path — the facade
 // over its incrementally refreshed reachability index, the
-// allocation-free fast path, and the multi-threaded BatchResolver —
+// allocation-free fast path, and the multi-threaded CheckAccessBatch —
 // must be bit-identical
 // (decision, majority counters, Auth flags, returned line) to the
 // classic engines resolving over the rebuilt oracle.
@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include "acm/mode.h"
-#include "core/batch_resolver.h"
 #include "core/paper_example.h"
 #include "core/resolve.h"
 #include "core/strategy.h"
@@ -195,13 +194,12 @@ void ApplyRandomOp(AccessControlSystem& system, HierarchyModel& model,
 /// each followed by a structural check, a from-scratch oracle rebuild,
 /// and a sweep of queries comparing the facade, the fast path
 /// (with its Fig. 4 trace), and — every fourth round — a
-/// multi-threaded BatchResolver batch against the classic engines on
+/// multi-threaded CheckAccessBatch against the classic engines on
 /// the oracle. Strategies rotate through all 48 canonical instances.
 void RunDifferential(AccessControlSystem& system, const std::string& object,
                      const std::string& right, uint64_t seed, size_t rounds,
                      size_t queries_per_round) {
   HierarchyModel model = SeedModel(system.dag());
-  BatchResolver resolver(system, /*threads=*/2);
   const std::vector<Strategy>& strategies = AllStrategies();
   Random rng(seed);
   size_t fresh_counter = 0;
@@ -262,13 +260,13 @@ void RunDifferential(AccessControlSystem& system, const std::string& object,
     if (round % 4 == 3) {
       const Strategy& strategy =
           strategies[strategy_index++ % strategies.size()];
-      std::vector<BatchResolver::Query> batch;
+      std::vector<AccessControlSystem::AccessQuery> batch;
       for (size_t i = 0; i < 16; ++i) {
         batch.push_back({static_cast<graph::NodeId>(
                              rng.Uniform(system.dag().node_count())),
                          *object_id, *right_id});
       }
-      const auto results = resolver.ResolveBatch(batch, strategy);
+      const auto results = system.CheckAccessBatch(batch, strategy, 2);
       ASSERT_TRUE(results.ok()) << "round " << round;
       for (size_t i = 0; i < batch.size(); ++i) {
         const auto want =
@@ -330,7 +328,7 @@ TEST(MutationDifferentialTest,
 #if UCR_METRICS_ENABLED
 
 // The PR's online guarantee: with shadow verification at interval 1,
-// every fast-path miss after a membership edit is re-resolved by the
+// every batch decision after a membership edit is re-resolved by the
 // classic oracle over the same (in-place-mutated) hierarchy — zero
 // divergences means the incremental write path never serves a
 // decision the from-scratch engines would not.
@@ -346,7 +344,6 @@ TEST(MutationDifferentialTest, ShadowVerificationSeesNoDivergenceUnderChurn) {
   ASSERT_TRUE(object.ok() && right.ok());
   const Strategy strategy = ParseStrategy("D+LP-").value();
 
-  BatchResolver resolver(system, /*threads=*/2);
   Random rng(404);
   size_t fresh = 0;
   for (size_t round = 0; round < 12; ++round) {
@@ -356,13 +353,13 @@ TEST(MutationDifferentialTest, ShadowVerificationSeesNoDivergenceUnderChurn) {
         system.AddMembership(parent, "shadowhire" + std::to_string(fresh++))
             .ok());
 
-    std::vector<BatchResolver::Query> batch;
+    std::vector<AccessControlSystem::AccessQuery> batch;
     for (size_t i = 0; i < 16; ++i) {
       batch.push_back({static_cast<graph::NodeId>(
                            rng.Uniform(system.dag().node_count())),
                        *object, *right});
     }
-    ASSERT_TRUE(resolver.ResolveBatch(batch, strategy).ok());
+    ASSERT_TRUE(system.CheckAccessBatch(batch, strategy, 2).ok());
   }
 
   shadow.SetInterval(0);

@@ -13,6 +13,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "obs/metrics.h"
 
@@ -60,6 +61,46 @@ std::string Get(uint16_t port, const std::string& path) {
                      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n");
 }
 
+/// The keys of `json`'s `"phases"` object whose values are objects
+/// (one per phase; the panel's scalar `window_total_ns` is skipped),
+/// in order.
+std::vector<std::string> PhasePanelNames(const std::string& json) {
+  std::vector<std::string> names;
+  const std::string anchor = "\"phases\":{";
+  size_t i = json.find(anchor);
+  if (i == std::string::npos) return names;
+  int depth = 1;
+  for (i += anchor.size(); i < json.size() && depth > 0; ++i) {
+    if (json[i] == '{') ++depth;
+    if (json[i] == '}') --depth;
+    if (depth != 1 || json[i] != '"') continue;
+    const size_t end = json.find('"', i + 1);
+    if (end == std::string::npos) break;
+    if (json.compare(end + 1, 2, ":{") == 0) {
+      names.push_back(json.substr(i + 1, end - i - 1));
+    }
+    i = end;
+  }
+  return names;
+}
+
+/// Every key in `json` (at any depth) that ends in `suffix`, in order.
+std::vector<std::string> KeysEndingIn(const std::string& json,
+                                      const std::string& suffix) {
+  std::vector<std::string> keys;
+  for (size_t colon = json.find("\":"); colon != std::string::npos;
+       colon = json.find("\":", colon + 1)) {
+    const size_t open = json.rfind('"', colon - 1);
+    if (open == std::string::npos) break;
+    const std::string key = json.substr(open + 1, colon - open - 1);
+    if (key.size() >= suffix.size() &&
+        key.compare(key.size() - suffix.size(), suffix.size(), suffix) == 0) {
+      keys.push_back(key);
+    }
+  }
+  return keys;
+}
+
 TEST(ObsHttpExporterTest, RenderEndpointCoversAllPaths) {
   // Touch one counter so /metrics is non-empty.
   Registry::Global().GetCounter("ucr_exporter_test_total", "t").Inc();
@@ -90,12 +131,22 @@ TEST(ObsHttpExporterTest, RenderEndpointCoversAllPaths) {
   EXPECT_NE(body.find("\"traces\""), std::string::npos);
   EXPECT_NE(body.find("\"shadow_mismatches\""), std::string::npos);
 
-  // /statz reports the one memo there is: the snapshot epoch tables.
+  // /statz reports the one memo there is (the snapshot epoch tables),
+  // the front-door latencies (batch queries count as system queries),
+  // and one panel entry per resolve phase.
   ASSERT_TRUE(HttpExporter::RenderEndpoint("/statz", &body, &type));
   EXPECT_NE(type.find("application/json"), std::string::npos);
   EXPECT_TRUE(JsonLooksValid(body)) << body;
   EXPECT_NE(body.find("\"snapshot_cache_hit_rate\""), std::string::npos);
   EXPECT_EQ(body.find("\"resolution_cache_hit_rate\""), std::string::npos)
+      << body;
+  EXPECT_EQ(KeysEndingIn(body, "_p99_ns"),
+            (std::vector<std::string>{"resolve_p99_ns", "system_p99_ns",
+                                      "snapshot_p99_ns"}))
+      << body;
+  EXPECT_EQ(PhasePanelNames(body),
+            (std::vector<std::string>{"cache_probe", "extract", "propagate",
+                                      "compose", "resolve"}))
       << body;
 
   EXPECT_FALSE(HttpExporter::RenderEndpoint("/nope", &body, &type));

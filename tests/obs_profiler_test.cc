@@ -158,7 +158,6 @@ TEST(ObsProfilerTest, PhaseNamesAndMetricNamesAreStable) {
     EXPECT_EQ(metric, "ucr_phase_" + name + "_ns");
   }
   EXPECT_STREQ(PhaseName(Phase::kCacheProbe), "cache_probe");
-  EXPECT_STREQ(PhaseName(Phase::kBatchAssemble), "batch_assemble");
 }
 
 TEST(ObsProfilerTest, CollectionOwnershipGatesAttribution) {

@@ -1,16 +1,16 @@
 // Differential tests for the parallel query-evaluation layer: every
 // parallel path (EffectiveMatrix::Materialize/Refresh with threads,
-// BatchResolver, CheckAccessBatch) must produce decisions bit-identical
-// to the serial engines — for all 48 canonical strategies, on the
-// paper's Fig. 1 example and on a generated enterprise hierarchy.
+// CheckAccessBatch) must produce decisions bit-identical to the serial
+// engines — for all 48 canonical strategies, on the paper's Fig. 1
+// example and on a generated enterprise hierarchy.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "core/batch_resolver.h"
 #include "core/effective_matrix.h"
 #include "core/paper_example.h"
+#include "core/resolve.h"
 #include "core/strategy.h"
 #include "core/system.h"
 #include "util/random.h"
@@ -24,9 +24,9 @@ using acm::Mode;
 
 Strategy S(const char* mnemonic) { return ParseStrategy(mnemonic).value(); }
 
-AccessControlSystem MakePaperSystem() {
+AccessControlSystem MakePaperSystem(SystemOptions options = {}) {
   PaperExample ex = MakePaperExample();
-  AccessControlSystem system(std::move(ex.dag));
+  AccessControlSystem system(std::move(ex.dag), options);
   EXPECT_TRUE(system.Grant("S2", "obj", "read").ok());
   EXPECT_TRUE(system.Grant("S4", "obj", "read").ok());
   EXPECT_TRUE(system.DenyAccess("S5", "obj", "read").ok());
@@ -36,7 +36,7 @@ AccessControlSystem MakePaperSystem() {
 
 // A mid-sized enterprise hierarchy with explicit labels scattered over
 // three (object, right) columns at realistic (sparse) rates.
-AccessControlSystem MakeEnterpriseSystem() {
+AccessControlSystem MakeEnterpriseSystem(SystemOptions options = {}) {
   Random rng(7);
   workload::EnterpriseOptions shape;
   shape.individuals = 200;
@@ -45,7 +45,7 @@ AccessControlSystem MakeEnterpriseSystem() {
   shape.target_edges = 2200;
   auto dag = workload::GenerateEnterpriseHierarchy(shape, rng);
   EXPECT_TRUE(dag.ok());
-  AccessControlSystem system(std::move(dag).value());
+  AccessControlSystem system(std::move(dag).value(), options);
 
   const struct {
     const char* object;
@@ -84,21 +84,38 @@ void ExpectMatrixMatchesSerial(AccessControlSystem& system) {
   }
 }
 
-void ExpectBatchMatchesSerial(AccessControlSystem& system,
-                              std::span<const BatchResolver::Query> queries) {
-  BatchResolver resolver(system, /*threads=*/4);
+/// The two system configurations every batch differential runs on:
+/// with the reachability index (the indexed compose path), and without
+/// it, so the multi-threaded batch also exercises the per-thread
+/// scratch-arena fast path under the TSan-run `differential` label.
+SystemOptions WithIndex(bool use_reachability_index) {
+  SystemOptions options;
+  options.use_reachability_index = use_reachability_index;
+  return options;
+}
+
+/// A 4-thread CheckAccessBatch against the classic oracle (extraction,
+/// aggregated propagation, Fig. 4 Resolve; no index) for all 48
+/// strategies.
+void ExpectBatchMatchesClassic(
+    AccessControlSystem& system,
+    std::span<const AccessControlSystem::AccessQuery> queries) {
+  ResolveAccessOptions classic;
+  classic.use_fast_path = false;
+  classic.use_reachability_index = false;
+  classic.propagation_mode = system.propagation_mode();
   for (const Strategy& strategy : AllStrategies()) {
-    auto batched = resolver.ResolveBatch(queries, strategy);
+    auto batched = system.CheckAccessBatch(queries, strategy, /*threads=*/4);
     ASSERT_TRUE(batched.ok());
     ASSERT_EQ(batched->size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
+      const auto& q = queries[i];
       ASSERT_EQ((*batched)[i],
-                system
-                    .CheckAccess(queries[i].subject, queries[i].object,
-                                 queries[i].right, strategy)
+                ResolveAccess(system.dag(), system.eacm(), q.subject,
+                              q.object, q.right, strategy, classic)
                     .value())
           << strategy.ToMnemonic() << " query " << i << " subject "
-          << system.dag().name(queries[i].subject);
+          << system.dag().name(q.subject);
     }
   }
 }
@@ -113,29 +130,35 @@ TEST(ParallelDifferentialTest, MaterializeAllStrategiesEnterprise) {
   ExpectMatrixMatchesSerial(system);
 }
 
-TEST(ParallelDifferentialTest, BatchResolverAllStrategiesPaperExample) {
-  AccessControlSystem system = MakePaperSystem();
-  // Every triple of the paper example is a query.
-  std::vector<BatchResolver::Query> queries;
-  for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
-    for (acm::ObjectId o = 0; o < system.eacm().object_count(); ++o) {
-      for (acm::RightId r = 0; r < system.eacm().right_count(); ++r) {
-        queries.push_back({v, o, r});
+TEST(ParallelDifferentialTest, CheckAccessBatchAllStrategiesPaperExample) {
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "indexed" : "no index");
+    AccessControlSystem system = MakePaperSystem(WithIndex(indexed));
+    // Every triple of the paper example is a query.
+    std::vector<AccessControlSystem::AccessQuery> queries;
+    for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+      for (acm::ObjectId o = 0; o < system.eacm().object_count(); ++o) {
+        for (acm::RightId r = 0; r < system.eacm().right_count(); ++r) {
+          queries.push_back({v, o, r});
+        }
       }
     }
+    ExpectBatchMatchesClassic(system, queries);
   }
-  ExpectBatchMatchesSerial(system, queries);
 }
 
-TEST(ParallelDifferentialTest, BatchResolverAllStrategiesEnterprise) {
-  AccessControlSystem system = MakeEnterpriseSystem();
-  workload::QueryStreamOptions stream;
-  stream.count = 300;
-  stream.seed = 11;
-  auto queries =
-      workload::GenerateQueryStream(system.dag(), system.eacm(), stream);
-  ASSERT_TRUE(queries.ok());
-  ExpectBatchMatchesSerial(system, *queries);
+TEST(ParallelDifferentialTest, CheckAccessBatchAllStrategiesEnterprise) {
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "indexed" : "no index");
+    AccessControlSystem system = MakeEnterpriseSystem(WithIndex(indexed));
+    workload::QueryStreamOptions stream;
+    stream.count = 300;
+    stream.seed = 11;
+    auto queries =
+        workload::GenerateQueryStream(system.dag(), system.eacm(), stream);
+    ASSERT_TRUE(queries.ok());
+    ExpectBatchMatchesClassic(system, *queries);
+  }
 }
 
 TEST(ParallelDifferentialTest, ParallelRefreshMatchesSerialRefresh) {

@@ -4,6 +4,7 @@
 
 #include "core/paper_example.h"
 #include "graph/dag.h"
+#include "obs/metrics.h"
 
 namespace ucr::core {
 namespace {
@@ -248,6 +249,31 @@ TEST(SystemTest, BatchValidatesUpFront) {
   EXPECT_EQ(system.CheckAccessBatch(bad, S("P-"), 4).status().code(),
             StatusCode::kOutOfRange);
   EXPECT_TRUE(system.CheckAccessBatch({}, S("P-"), 4)->empty());
+}
+
+TEST(SystemTest, BatchQueriesCountAsFrontDoorTraffic) {
+  if (!obs::kEnabled) GTEST_SKIP() << "metrics compiled out";
+  AccessControlSystem system = MakePaperSystem();
+  const acm::ObjectId obj = system.eacm().FindObject("obj").value();
+  const acm::RightId read = system.eacm().FindRight("read").value();
+  std::vector<AccessControlSystem::AccessQuery> queries;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (graph::NodeId v = 0; v < system.dag().node_count(); ++v) {
+      queries.push_back({v, obj, read});
+    }
+  }
+  obs::Registry& registry = obs::Registry::Global();
+  const obs::Counter& counted =
+      registry.GetCounter("ucr_system_queries_total", "");
+  const obs::Histogram& timed =
+      registry.GetHistogram("ucr_system_query_latency_ns", "");
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    const uint64_t counted_before = counted.Value();
+    const uint64_t timed_before = timed.Snap().count;
+    ASSERT_TRUE(system.CheckAccessBatch(queries, S("D+LP-"), threads).ok());
+    EXPECT_EQ(counted.Value() - counted_before, queries.size()) << threads;
+    EXPECT_EQ(timed.Snap().count - timed_before, queries.size()) << threads;
+  }
 }
 
 TEST(SystemTest, ExplicitLabelAlwaysWinsUnderMostSpecific) {
